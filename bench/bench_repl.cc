@@ -145,8 +145,10 @@ class SharedCluster {
     }
 
     for (int i = 0; i < kFollowers; ++i) {
-      auto follower = TemporalQueryService::Create(
-          DurableOptions(ScratchDir("f" + std::to_string(i))));
+      std::string name = "f";
+      name += std::to_string(i);
+      auto follower =
+          TemporalQueryService::Create(DurableOptions(ScratchDir(name)));
       TXML_CHECK(follower.ok());
       follower_services_.push_back(std::move(*follower));
       ReplicaApplier::Options applier_options;

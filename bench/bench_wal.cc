@@ -140,7 +140,8 @@ void BM_MultiWriterCommit(benchmark::State& state) {
   std::vector<std::string> urls;
   std::vector<bool> used(shards, false);
   for (int k = 0; urls.size() < static_cast<size_t>(writers); ++k) {
-    std::string name = "w" + std::to_string(k);
+    std::string name = "w";
+    name += std::to_string(k);
     size_t stripe = std::hash<std::string_view>{}(name) % shards;
     if (static_cast<size_t>(writers) <= shards && used[stripe]) continue;
     used[stripe] = true;

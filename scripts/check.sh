@@ -2,7 +2,10 @@
 # Builds and tests the configurations that gate a change:
 #
 #   1. Release (RelWithDebInfo, the tier-1 configuration) — full ctest
-#      (which includes the fuzz-corpus replay regression test);
+#      (which includes the fuzz-corpus replay regression test), then the
+#      same suite built with -DCMAKE_BUILD_TYPE=Release (build-release/):
+#      -O3 without debug info inlines differently, and GCC's
+#      -Werror=restrict false positives have broken that build before;
 #   2. ThreadSanitizer (-DTXML_SANITIZE=thread)           — concurrency
 #      tests (service layer, network front end, replication,
 #      vacuum-vs-readers stress), then the leader+2-follower replication
@@ -73,6 +76,9 @@ echo "=== Release configuration (build/) ==="
 run cmake -B build -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
 run cmake --build build -j "$JOBS"
 run ctest --test-dir build --output-on-failure -j "$JOBS"
+run cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release
+run cmake --build build-release -j "$JOBS"
+run ctest --test-dir build-release --output-on-failure -j "$JOBS"
 
 echo "=== ThreadSanitizer configuration (build-tsan/) ==="
 run cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DTXML_SANITIZE=thread

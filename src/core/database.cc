@@ -119,8 +119,16 @@ StatusOr<TemporalXmlDatabase::PutResult> TemporalXmlDatabase::PutDocumentAt(
 
 StatusOr<TemporalXmlDatabase::PutResult> TemporalXmlDatabase::PutDocumentTree(
     const std::string& url, std::unique_ptr<XmlNode> tree, Timestamp ts) {
-  TXML_ASSIGN_OR_RETURN(VersionedDocumentStore::PutResult stored,
-                        store_->Put(url, std::move(tree), ts));
+  PreparedPut put = ResolvePut(url);
+  TXML_RETURN_IF_ERROR(PreparePut(&put, std::move(tree), ts));
+  return PublishPut(std::move(put));
+}
+
+TemporalXmlDatabase::PutResult TemporalXmlDatabase::PublishPut(
+    PreparedPut put) {
+  TXML_CHECK(put.version.has_value());
+  const Timestamp ts = put.version->ts;
+  VersionedDocumentStore::PutResult stored = store_->PublishPut(std::move(put));
   clock_.AdvanceTo(ts.AddMicros(1));
   return PutResult{stored.doc_id, stored.version, ts};
 }

@@ -4,6 +4,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/index/delta_fti.h"
@@ -80,6 +81,23 @@ class TemporalXmlDatabase {
   StatusOr<PutResult> PutDocumentTree(const std::string& url,
                                       std::unique_ptr<XmlNode> tree,
                                       Timestamp ts);
+
+  /// The phases of a put (DESIGN.md §12), for callers that overlap the
+  /// costly part with other work. PutDocumentTree is
+  /// PublishPut(PreparePut(ResolvePut(url), …)). ResolvePut needs
+  /// publishes excluded (a shared lock); PreparePut needs only that
+  /// nothing else writes this document until the publish; PublishPut is
+  /// a write under the single-writer contract. See
+  /// VersionedDocumentStore::PreparedPut.
+  using PreparedPut = VersionedDocumentStore::PreparedPut;
+  PreparedPut ResolvePut(const std::string& url) const {
+    return store_->ResolvePut(url);
+  }
+  Status PreparePut(PreparedPut* put, std::unique_ptr<XmlNode> tree,
+                    Timestamp ts) const {
+    return store_->PreparePut(put, std::move(tree), ts);
+  }
+  PutResult PublishPut(PreparedPut put);
 
   Status DeleteDocument(const std::string& url);
   Status DeleteDocumentAt(const std::string& url, Timestamp ts);

@@ -45,41 +45,87 @@ void TemporalFullTextIndex::ForEachPosting(TermKind kind,
   }
 }
 
-void TemporalFullTextIndex::OnVersionStored(DocId doc_id, VersionNum version,
-                                            Timestamp /*ts*/,
-                                            const XmlNode& current,
-                                            const EditScript* /*delta*/) {
-  std::vector<Occurrence> occurrences = ExtractOccurrences(current);
-  auto& open = open_[doc_id];
+/// One version's FTI work: the occurrences it opens and the open keys it
+/// closes, computed against the document's open map as of BeginVersion.
+class TemporalFullTextIndex::Pending : public StoreObserver::PendingVersion {
+ public:
+  struct Opened {
+    std::string key;
+    Occurrence occ;
+  };
 
-  std::unordered_set<std::string> present;
-  present.reserve(occurrences.size());
-  for (Occurrence& occ : occurrences) {
-    std::string key = OccurrenceKey(occ.kind, occ.term, occ.element, occ.path);
-    present.insert(key);
-    if (open.contains(key)) continue;  // occurrence survives, posting stays
+  explicit Pending(const OpenMap* open) : open_(open) {}
+
+  void Prepare(const XmlNode& next) override {
+    std::vector<Occurrence> occurrences = ExtractOccurrences(next);
+    std::unordered_set<std::string> present;
+    present.reserve(occurrences.size());
+    for (Occurrence& occ : occurrences) {
+      std::string key =
+          OccurrenceKey(occ.kind, occ.term, occ.element, occ.path);
+      if (!present.insert(key).second) continue;
+      if (open_ != nullptr && open_->contains(key)) {
+        continue;  // occurrence survives, posting stays
+      }
+      opened_.push_back({std::move(key), std::move(occ)});
+    }
+    if (open_ == nullptr) return;
+    for (const auto& [key, ref] : *open_) {
+      if (!present.contains(key)) closed_.push_back(key);
+    }
+  }
+
+  std::vector<Opened>& opened() { return opened_; }
+  const std::vector<std::string>& closed() const { return closed_; }
+
+ private:
+  const OpenMap* open_;
+  std::vector<Opened> opened_;
+  std::vector<std::string> closed_;
+};
+
+std::unique_ptr<StoreObserver::PendingVersion>
+TemporalFullTextIndex::BeginVersion(DocId doc_id) const {
+  auto it = open_.find(doc_id);
+  return std::make_unique<Pending>(it == open_.end() ? nullptr : &it->second);
+}
+
+void TemporalFullTextIndex::OnVersionStored(DocId doc_id, VersionNum version,
+                                            Timestamp ts,
+                                            const XmlNode& current,
+                                            const EditScript* delta) {
+  std::unique_ptr<PendingVersion> pending = BeginVersion(doc_id);
+  pending->Prepare(current);
+  PublishVersion(doc_id, version, ts, current, delta, pending.get());
+}
+
+void TemporalFullTextIndex::PublishVersion(DocId doc_id, VersionNum version,
+                                           Timestamp /*ts*/,
+                                           const XmlNode& /*current*/,
+                                           const EditScript* /*delta*/,
+                                           PendingVersion* prepared) {
+  auto* pending = static_cast<Pending*>(prepared);
+  OpenMap& open = open_[doc_id];
+  for (Pending::Opened& opened : pending->opened()) {
     // New runs always open in the differential: the main lists never grow
     // between compactions, so this commit's index work is bounded by its
     // own change volume.
+    Occurrence& occ = opened.occ;
     size_t index = diff_.Append(
         occ.kind, occ.term,
         Posting{doc_id, occ.element, std::move(occ.path), version,
                 kOpenVersion});
-    open.emplace(std::move(key),
+    open.emplace(std::move(opened.key),
                  OpenRef{occ.kind, std::move(occ.term), index,
                          /*in_diff=*/true});
   }
-
   // Close postings for occurrences that vanished in this version. Closing
   // is an in-place `end` write in whichever half holds the run's posting;
   // nothing moves.
-  for (auto it = open.begin(); it != open.end();) {
-    if (present.contains(it->first)) {
-      ++it;
-      continue;
-    }
+  for (const std::string& key : pending->closed()) {
+    auto it = open.find(key);
     PostingOf(it->second)->end = version;
-    it = open.erase(it);
+    open.erase(it);
   }
 }
 

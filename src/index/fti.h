@@ -23,13 +23,17 @@ namespace txml {
 ///
 /// Maintained incrementally as a StoreObserver: on each stored version the
 /// occurrence set of the new tree is diffed against the open occurrences —
-/// vanished ones are closed at the new version, new ones opened.
+/// vanished ones are closed at the new version, new ones opened. That diff
+/// re-keys the whole document, so it runs in the prepare phase
+/// (BeginVersion), beside readers; the publish phase only appends the
+/// opened postings and closes the vanished ones.
 ///
 /// Storage is split RDF-3X-style (DESIGN.md §13) into a compacted **main**
 /// index and a small **differential** index. Commits only *append* to the
 /// differential — the main posting lists never grow or move between
-/// compactions, so the per-commit index work is proportional to the change
-/// volume regardless of index size. (Closing a run that *started* in the
+/// compactions. Together with the prepare/publish split, the index work a
+/// commit does inside the exclusive section is proportional to its change
+/// volume, regardless of document or index size. (Closing a run that *started* in the
 /// main index is an in-place write to that posting's `end` field; postings
 /// never move, so lookups' returned pointers are what the usual
 /// writer/reader exclusion already covers.) Lookups walk main then
@@ -56,6 +60,12 @@ class TemporalFullTextIndex : public StoreObserver {
   void OnVersionStored(DocId doc_id, VersionNum version, Timestamp ts,
                        const XmlNode& current,
                        const EditScript* delta) override;
+  /// Captures the document's open-occurrence map; the pending version
+  /// diffs the new tree's occurrences against it.
+  std::unique_ptr<PendingVersion> BeginVersion(DocId doc_id) const override;
+  void PublishVersion(DocId doc_id, VersionNum version, Timestamp ts,
+                      const XmlNode& current, const EditScript* delta,
+                      PendingVersion* prepared) override;
   void OnDocumentDeleted(DocId doc_id, VersionNum last,
                          Timestamp ts) override;
   /// Compacts the document's posting lists to its retained history:
@@ -120,6 +130,9 @@ class TemporalFullTextIndex : public StoreObserver {
     size_t index;          // into the term's posting vector
     bool in_diff = false;  // which half of the split `index` points into
   };
+  /// Occurrence key -> open posting, for one document.
+  using OpenMap = std::unordered_map<std::string, OpenRef>;
+  class Pending;
 
   /// Rebuilds open_ from the open-ended postings (posting indices shift
   /// when a vacuum erases list entries).
@@ -150,7 +163,7 @@ class TemporalFullTextIndex : public StoreObserver {
   uint64_t compactions_ = 0;
   /// Per document: occurrence key -> open posting, for incremental
   /// maintenance.
-  std::unordered_map<DocId, std::unordered_map<std::string, OpenRef>> open_;
+  std::unordered_map<DocId, OpenMap> open_;
 };
 
 }  // namespace txml

@@ -1,6 +1,8 @@
 #include "src/index/lifetime_index.h"
 
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "src/util/coding.h"
 
@@ -16,24 +18,61 @@ void CollectXids(const XmlNode& node, std::unordered_set<Xid>* out) {
 
 }  // namespace
 
-void LifetimeIndex::OnVersionStored(DocId doc_id, VersionNum /*version*/,
-                                    Timestamp ts, const XmlNode& current,
-                                    const EditScript* /*delta*/) {
-  std::unordered_set<Xid> now;
-  CollectXids(current, &now);
-  std::unordered_set<Xid>& before = alive_[doc_id];
+/// One version's lifetime work: the new alive set and the XIDs born and
+/// died against the alive set as of BeginVersion.
+class LifetimeIndex::Pending : public StoreObserver::PendingVersion {
+ public:
+  explicit Pending(const std::unordered_set<Xid>* before) : before_(before) {}
 
-  for (Xid xid : now) {
-    if (!before.contains(xid)) {
-      lifetimes_[Eid{doc_id, xid}] = Lifetime{ts, Timestamp::Infinity()};
+  void Prepare(const XmlNode& next) override {
+    CollectXids(next, &now_);
+    for (Xid xid : now_) {
+      if (before_ == nullptr || !before_->contains(xid)) born_.push_back(xid);
+    }
+    if (before_ == nullptr) return;
+    for (Xid xid : *before_) {
+      if (!now_.contains(xid)) died_.push_back(xid);
     }
   }
-  for (Xid xid : before) {
-    if (!now.contains(xid)) {
-      lifetimes_[Eid{doc_id, xid}].del = ts;
-    }
+
+  std::unordered_set<Xid>& now() { return now_; }
+  const std::vector<Xid>& born() const { return born_; }
+  const std::vector<Xid>& died() const { return died_; }
+
+ private:
+  const std::unordered_set<Xid>* before_;
+  std::unordered_set<Xid> now_;
+  std::vector<Xid> born_;
+  std::vector<Xid> died_;
+};
+
+std::unique_ptr<StoreObserver::PendingVersion> LifetimeIndex::BeginVersion(
+    DocId doc_id) const {
+  auto it = alive_.find(doc_id);
+  return std::make_unique<Pending>(it == alive_.end() ? nullptr
+                                                      : &it->second);
+}
+
+void LifetimeIndex::OnVersionStored(DocId doc_id, VersionNum version,
+                                    Timestamp ts, const XmlNode& current,
+                                    const EditScript* delta) {
+  std::unique_ptr<PendingVersion> pending = BeginVersion(doc_id);
+  pending->Prepare(current);
+  PublishVersion(doc_id, version, ts, current, delta, pending.get());
+}
+
+void LifetimeIndex::PublishVersion(DocId doc_id, VersionNum /*version*/,
+                                   Timestamp ts, const XmlNode& /*current*/,
+                                   const EditScript* /*delta*/,
+                                   PendingVersion* prepared) {
+  auto* pending = static_cast<Pending*>(prepared);
+  for (Xid xid : pending->born()) {
+    lifetimes_[Eid{doc_id, xid}] = Lifetime{ts, Timestamp::Infinity()};
   }
-  before = std::move(now);
+  for (Xid xid : pending->died()) {
+    lifetimes_[Eid{doc_id, xid}].del = ts;
+  }
+  alive_[doc_id] = std::move(pending->now());
 }
 
 void LifetimeIndex::OnDocumentDeleted(DocId doc_id, VersionNum /*last*/,

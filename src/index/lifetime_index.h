@@ -24,6 +24,12 @@ class LifetimeIndex : public StoreObserver {
   void OnVersionStored(DocId doc_id, VersionNum version, Timestamp ts,
                        const XmlNode& current,
                        const EditScript* delta) override;
+  /// Captures the document's alive set; the pending version computes the
+  /// born and died XIDs against it.
+  std::unique_ptr<PendingVersion> BeginVersion(DocId doc_id) const override;
+  void PublishVersion(DocId doc_id, VersionNum version, Timestamp ts,
+                      const XmlNode& current, const EditScript* delta,
+                      PendingVersion* prepared) override;
   void OnDocumentDeleted(DocId doc_id, VersionNum last,
                          Timestamp ts) override;
   /// Prunes entries for elements that vanished before the document's drop
@@ -55,6 +61,7 @@ class LifetimeIndex : public StoreObserver {
     Timestamp create;
     Timestamp del = Timestamp::Infinity();
   };
+  class Pending;
 
   std::unordered_map<Eid, Lifetime, EidHash> lifetimes_;
   /// XIDs alive in the current version of each document.

@@ -66,18 +66,28 @@ std::string Expr::ToString() const {
                                               : "AVG";
       return name + "(" + lhs->ToString() + ")";
     }
-    case Kind::kBinary:
-      return "(" + lhs->ToString() + " " + OpText(op) + " " +
-             rhs->ToString() + ")";
+    case Kind::kBinary: {
+      std::string out = "(";
+      out += lhs->ToString();
+      out += " ";
+      out += OpText(op);
+      out += " ";
+      out += rhs->ToString();
+      out += ")";
+      return out;
+    }
     case Kind::kNot:
       return "NOT " + lhs->ToString();
     case Kind::kContains:
       return "CONTAINS(" + lhs->ToString() + ", " + rhs->ToString() + ")";
     case Kind::kTimeArith: {
       int64_t days = duration_micros / kMicrosPerDay;
-      return "(" + lhs->ToString() +
-             (duration_micros >= 0 ? " + " : " - ") +
-             std::to_string(days < 0 ? -days : days) + " DAYS)";
+      std::string out = "(";
+      out += lhs->ToString();
+      out += duration_micros >= 0 ? " + " : " - ";
+      out += std::to_string(days < 0 ? -days : days);
+      out += " DAYS)";
+      return out;
     }
   }
   return "?";
@@ -99,7 +109,9 @@ std::string Query::ToString() const {
     if (item.mode == FromItem::Mode::kEvery) {
       out += "[EVERY]";
     } else if (item.mode == FromItem::Mode::kSnapshot) {
-      out += "[" + item.snapshot_time->ToString() + "]";
+      out += "[";
+      out += item.snapshot_time->ToString();
+      out += "]";
     }
     out += item.path.ToString() + " " + item.var;
   }

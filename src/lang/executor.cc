@@ -342,7 +342,8 @@ class Execution {
     }
     out += "output:";
     for (const auto& expr : query.select) {
-      out += " " + expr->ToString();
+      out += " ";
+      out += expr->ToString();
     }
     if (query.distinct) out += " [distinct]";
     out += "\n";
@@ -749,36 +750,11 @@ class Execution {
     auto key = std::make_pair(doc.doc_id(), version);
     auto it = snapshot_cache_.find(key);
     if (it != snapshot_cache_.end()) return it->second;
-    if (ctx_.snapshot_cache != nullptr) {
-      if (auto shared = ctx_.snapshot_cache->Lookup(doc.doc_id(), version)) {
-        ++stats_->snapshot_cache_hits;
-        snapshot_cache_[key] = shared;
-        return shared;
-      }
-    }
-    ++stats_->snapshot_reconstructions;
-    std::shared_ptr<const XmlNode> shared;
-    if (version == doc.version_count() && !doc.deleted()) {
-      if (ctx_.snapshot_cache != nullptr) {
-        // Shared entries outlive this execution, so they must own their
-        // tree: the stored current version is mutated/replaced by the next
-        // append and may only be aliased within one execution.
-        shared = std::shared_ptr<const XmlNode>(doc.current()->Clone());
-      } else {
-        // Current version, single execution: alias the stored tree.
-        shared = std::shared_ptr<const XmlNode>(doc.current(),
-                                                [](const XmlNode*) {});
-        snapshot_cache_[key] = shared;
-        return shared;
-      }
-    } else {
-      TXML_ASSIGN_OR_RETURN(std::unique_ptr<XmlNode> tree,
-                            doc.ReconstructVersion(version));
-      shared = std::shared_ptr<const XmlNode>(std::move(tree));
-    }
-    if (ctx_.snapshot_cache != nullptr) {
-      ctx_.snapshot_cache->Insert(doc.doc_id(), version, shared);
-    }
+    bool cache_hit = false;
+    TXML_ASSIGN_OR_RETURN(std::shared_ptr<const XmlNode> shared,
+                          SnapshotTree(ctx_, doc, version, &cache_hit));
+    ++(cache_hit ? stats_->snapshot_cache_hits
+                 : stats_->snapshot_reconstructions);
     snapshot_cache_[key] = shared;
     return shared;
   }

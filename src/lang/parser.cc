@@ -137,7 +137,8 @@ class Parser {
         if (!At(TokenKind::kIdent) && !At(TokenKind::kKeyword)) {
           return Error("expected attribute name after '@'");
         }
-        text += "@" + Advance().text;
+        text += "@";
+        text += Advance().text;
         break;
       }
       if (At(TokenKind::kStar)) {

@@ -289,18 +289,21 @@ std::vector<EmbeddingRow> EmbeddingsOf(const XmlNode& root,
   return rows;
 }
 
-/// The materialized tree of one retained version, preferring the shared
-/// snapshot cache; the current version aliases storage directly (cheap,
-/// and safe for the duration of the scan) and is never inserted into the
-/// cache (cached trees must be owned — see SnapshotCacheInterface).
+}  // namespace
+
 StatusOr<std::shared_ptr<const XmlNode>> SnapshotTree(
-    const QueryContext& ctx, const VersionedDocument& doc, VersionNum v) {
+    const QueryContext& ctx, const VersionedDocument& doc, VersionNum v,
+    bool* cache_hit) {
+  if (cache_hit != nullptr) *cache_hit = false;
   if (v == doc.version_count() && !doc.deleted()) {
     return std::shared_ptr<const XmlNode>(doc.current(),
                                           [](const XmlNode*) {});
   }
   if (ctx.snapshot_cache != nullptr) {
-    if (auto hit = ctx.snapshot_cache->Lookup(doc.doc_id(), v)) return hit;
+    if (auto hit = ctx.snapshot_cache->Lookup(doc.doc_id(), v)) {
+      if (cache_hit != nullptr) *cache_hit = true;
+      return hit;
+    }
   }
   auto tree = doc.ReconstructVersion(v);
   if (!tree.ok()) return tree.status();
@@ -310,8 +313,6 @@ StatusOr<std::shared_ptr<const XmlNode>> SnapshotTree(
   }
   return shared;
 }
-
-}  // namespace
 
 StatusOr<std::vector<ScanMatch>> PatternScanCurrentTraversal(
     const QueryContext& ctx, const Pattern& pattern,

@@ -1,6 +1,7 @@
 #ifndef TXML_SRC_QUERY_SCAN_H_
 #define TXML_SRC_QUERY_SCAN_H_
 
+#include <memory>
 #include <vector>
 
 #include "src/query/context.h"
@@ -10,6 +11,19 @@
 #include "src/xml/pattern.h"
 
 namespace txml {
+
+/// The materialized tree of retained version `v` of `doc` — the one
+/// current-version rule every scan and binding path follows:
+///  * the current version of a live document aliases storage. That is
+///    cheap and safe for one execution under the reader's epoch, and the
+///    alias never enters the shared cache (cached trees must be owned —
+///    see SnapshotCacheInterface);
+///  * any other version comes from the shared snapshot cache when one is
+///    attached, else it is reconstructed and offered to the cache.
+/// `cache_hit`, when non-null, reports whether the shared cache served it.
+StatusOr<std::shared_ptr<const XmlNode>> SnapshotTree(
+    const QueryContext& ctx, const VersionedDocument& doc, VersionNum v,
+    bool* cache_hit = nullptr);
 
 /// One result of a pattern-scan operator: an embedding of the pattern into
 /// one document, valid over a (maximal) run of consecutive versions.

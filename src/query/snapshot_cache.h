@@ -16,9 +16,11 @@ namespace txml {
 /// never serve a tree that differs from ReconstructVersion's result.
 ///
 /// Cached trees are shared across executions (and, in the service layer,
-/// across threads), so they must be *owned* deep trees: implementations
-/// must not alias storage-owned nodes such as VersionedDocument::current(),
-/// which the next append mutates.
+/// across threads), so they must be *owned* deep trees. That is why the
+/// current version of a live document is never cached: SnapshotTree
+/// (src/query/scan.h) aliases VersionedDocument::current() for the length
+/// of one execution instead, because the next append replaces that tree.
+/// Only versions that can no longer change are offered to a cache.
 ///
 /// Implementations must be safe for concurrent Lookup/Insert from many
 /// reader threads; the sharded LRU cache of src/service/ is the production

@@ -5,12 +5,14 @@
 #include <filesystem>
 #include <functional>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 
 #include "src/service/session.h"
 #include "src/util/env.h"
 #include "src/util/logging.h"
 #include "src/util/macros.h"
+#include "src/xml/parser.h"
 #include "src/xml/serializer.h"
 
 namespace txml {
@@ -41,6 +43,24 @@ Status ValidateServiceOptions(const ServiceOptions& options) {
 
 namespace {
 
+/// The put case of ApplyWalRecord up to its publish: parses and prepares
+/// the record, or returns nullopt when the loaded checkpoint already
+/// reflects it. Writes nothing, so ApplyReplicated runs it under the shared
+/// commit lock.
+StatusOr<std::optional<TemporalXmlDatabase::PreparedPut>> PrepareWalPut(
+    const TemporalXmlDatabase& db, const WalRecord& record) {
+  const VersionedDocument* doc = db.store().FindByUrl(record.url);
+  if (doc != nullptr &&
+      (doc->delta_index().last_timestamp() >= record.ts ||
+       (doc->deleted() && doc->delete_time() >= record.ts))) {
+    return std::optional<TemporalXmlDatabase::PreparedPut>();
+  }
+  TXML_ASSIGN_OR_RETURN(XmlDocument parsed, ParseXml(record.payload));
+  TemporalXmlDatabase::PreparedPut put = db.ResolvePut(record.url);
+  TXML_RETURN_IF_ERROR(db.PreparePut(&put, parsed.ReleaseRoot(), record.ts));
+  return std::optional<TemporalXmlDatabase::PreparedPut>(std::move(put));
+}
+
 /// Applies one recovered WAL record to the database, skipping records the
 /// loaded checkpoint already reflects. The skip guards close the crash
 /// window between writing store.txml/indexes.txml and writing the stamp:
@@ -49,14 +69,10 @@ namespace {
 Status ApplyWalRecord(TemporalXmlDatabase* db, const WalRecord& record) {
   switch (record.type) {
     case WalRecordType::kPut: {
-      const VersionedDocument* doc = db->store().FindByUrl(record.url);
-      if (doc != nullptr &&
-          (doc->delta_index().last_timestamp() >= record.ts ||
-           (doc->deleted() && doc->delete_time() >= record.ts))) {
-        return Status::OK();  // already in the checkpoint
-      }
-      return db->PutDocumentAt(record.url, record.payload, record.ts)
-          .status();
+      TXML_ASSIGN_OR_RETURN(std::optional<TemporalXmlDatabase::PreparedPut> put,
+                            PrepareWalPut(*db, record));
+      if (put.has_value()) db->PublishPut(std::move(*put));
+      return Status::OK();
     }
     case WalRecordType::kDelete: {
       const VersionedDocument* doc = db->store().FindByUrl(record.url);
@@ -375,9 +391,30 @@ Status TemporalQueryService::CommitSlotApply(CommitSlot* slot, ApplyFn apply) {
   return durable;
 }
 
+StatusOr<TemporalXmlDatabase::PreparedPut>
+TemporalQueryService::PrepareUnderStripe(const std::string& url,
+                                         std::unique_ptr<XmlNode> tree,
+                                         Timestamp ts) {
+  TemporalXmlDatabase::PreparedPut put = [&] {
+    ReaderLock lock(commit_mu_);
+    return db_->ResolvePut(url);
+  }();
+  // No commit lock: the caller's stripe keeps this document still, and
+  // the prepare reads nothing else (DESIGN.md §12).
+  TXML_RETURN_IF_ERROR(db_->PreparePut(&put, std::move(tree), ts));
+  return put;
+}
+
 StatusOr<TemporalQueryService::PutResult> TemporalQueryService::CommitPut(
     const std::string& url, std::string_view xml_text,
     const std::optional<Timestamp>& explicit_ts, uint64_t* sequence) {
+  // Parse before taking a ticket: an unparseable put is refused here, so
+  // no doomed record reaches the WAL or the followers.
+  StatusOr<XmlDocument> parsed = ParseXml(xml_text);
+  if (!parsed.ok()) {
+    writes_failed_.fetch_add(1, std::memory_order_relaxed);
+    return parsed.status();
+  }
   const size_t shard = ShardIndexFor(url);
   LockShard(shard);
   WalRecord record;
@@ -386,10 +423,18 @@ StatusOr<TemporalQueryService::PutResult> TemporalQueryService::CommitPut(
   record.payload = std::string(xml_text);
   CommitSlot slot;
   AllocateCommit(&record, explicit_ts, /*draw_ts=*/true, &slot);
+  // Diff while the log writer syncs the record; only the publish needs
+  // the exclusive lock.
+  StatusOr<TemporalXmlDatabase::PreparedPut> prepared =
+      PrepareUnderStripe(url, parsed->ReleaseRoot(), slot.ts);
   StatusOr<PutResult> result = Status::Internal("commit not applied");
   Status durable = CommitSlotApply(&slot, [&] {
+    if (!prepared.ok()) {
+      result = prepared.status();
+      return;
+    }
     WriterLock lock(commit_mu_);
-    result = db_->PutDocumentAt(url, xml_text, slot.ts);
+    result = db_->PublishPut(std::move(*prepared));
   });
   UnlockShard(shard);
   if (!durable.ok()) {
@@ -476,29 +521,55 @@ StatusOr<QueryResponse> TemporalQueryService::Execute(
   }
   const size_t n = request.items.size();
 
-  // Hold the union of the items' commit shards, ascending (the
+  struct ItemOutcome {
+    Status status;
+    uint64_t version = 0;
+    Timestamp commit_ts;
+  };
+  std::vector<ItemOutcome> outcomes(n);
+
+  // Parse every put before taking tickets: an unparseable item is refused
+  // here with the status a sequential Put returns, and takes no ticket and
+  // no WAL record. `run` lists the items that go on, in request order.
+  std::vector<std::unique_ptr<XmlNode>> trees(n);
+  std::vector<size_t> run;
+  run.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    const WriteBatchItem& item = request.items[i];
+    if (item.kind == WriteBatchItem::Kind::kPut) {
+      StatusOr<XmlDocument> parsed = ParseXml(item.xml_text);
+      if (!parsed.ok()) {
+        outcomes[i].status = parsed.status();
+        continue;
+      }
+      trees[i] = parsed->ReleaseRoot();
+    }
+    run.push_back(i);
+  }
+  // Everything below indexes the run: item run[j] takes slot j.
+  const size_t m = run.size();
+
+  // Hold the union of the run's commit shards, ascending (the
   // deadlock-freedom rule), for the whole run.
   std::vector<size_t> shards;
-  shards.reserve(n);
-  for (const WriteBatchItem& item : request.items) {
-    shards.push_back(ShardIndexFor(item.url));
-  }
+  shards.reserve(m);
+  for (size_t i : run) shards.push_back(ShardIndexFor(request.items[i].url));
   std::sort(shards.begin(), shards.end());
   shards.erase(std::unique(shards.begin(), shards.end()), shards.end());
   for (size_t index : shards) LockShard(index);
 
   // Decide which items to log. Puts always; a delete only when the
   // document will exist when its turn applies — tracked through the
-  // batch's own earlier items, since a put at item 3 resurrects the
+  // run's own earlier items, since a put at item 3 resurrects the
   // document a delete at item 5 then really deletes (and must log, or
   // replay would diverge). The prediction errs toward logging: a doomed
   // record replays as the same no-op it was on the leader.
-  std::vector<bool> log_item(n, true);
+  std::vector<bool> log_item(m, true);
   {
     std::unordered_map<std::string, bool> exists;
     ReaderLock lock(commit_mu_);
-    for (size_t i = 0; i < n; ++i) {
-      const WriteBatchItem& item = request.items[i];
+    for (size_t j = 0; j < m; ++j) {
+      const WriteBatchItem& item = request.items[run[j]];
       auto it = exists.find(item.url);
       if (it == exists.end()) {
         const VersionedDocument* doc = db_->store().FindByUrl(item.url);
@@ -506,7 +577,7 @@ StatusOr<QueryResponse> TemporalQueryService::Execute(
                  .first;
       }
       if (item.kind == WriteBatchItem::Kind::kDelete) {
-        log_item[i] = it->second;
+        log_item[j] = it->second;
         it->second = false;
       } else {
         it->second = true;
@@ -514,60 +585,82 @@ StatusOr<QueryResponse> TemporalQueryService::Execute(
     }
   }
 
-  std::vector<WalRecord> records(n);
-  std::vector<std::optional<Timestamp>> explicit_ts(n);
-  for (size_t i = 0; i < n; ++i) {
-    const WriteBatchItem& item = request.items[i];
-    records[i].type = item.kind == WriteBatchItem::Kind::kDelete
+  std::vector<WalRecord> records(m);
+  std::vector<std::optional<Timestamp>> explicit_ts(m);
+  for (size_t j = 0; j < m; ++j) {
+    const WriteBatchItem& item = request.items[run[j]];
+    records[j].type = item.kind == WriteBatchItem::Kind::kDelete
                           ? WalRecordType::kDelete
                           : WalRecordType::kPut;
-    records[i].url = item.url;
+    records[j].url = item.url;
     if (item.kind == WriteBatchItem::Kind::kPut) {
-      records[i].payload = item.xml_text;
+      records[j].payload = item.xml_text;
     }
-    explicit_ts[i] = item.timestamp;
+    explicit_ts[j] = item.timestamp;
   }
-  std::vector<CommitSlot> slots(n);
+  std::vector<CommitSlot> slots(m);
   AllocateCommitRun(&records, explicit_ts, log_item, &slots);
+
+  // Prepare while the log writer syncs the run. An item whose URL an
+  // earlier item of the run already wrote builds on that item's result,
+  // so it keeps its tree and is prepared inside the turn instead.
+  std::vector<StatusOr<TemporalXmlDatabase::PreparedPut>> prepared;
+  prepared.reserve(m);
+  std::unordered_set<std::string_view> seen;
+  for (size_t j = 0; j < m; ++j) {
+    const size_t i = run[j];
+    const WriteBatchItem& item = request.items[i];
+    const bool first_write = seen.insert(item.url).second;
+    if (item.kind == WriteBatchItem::Kind::kPut && first_write) {
+      prepared.push_back(
+          PrepareUnderStripe(item.url, std::move(trees[i]), slots[j].ts));
+    } else {
+      prepared.push_back(Status::Internal("put not prepared"));
+    }
+  }
 
   // One durability wait covers the run: every logged record shares a
   // single drain, so the waits resolve together (one fsync in kAlways).
   Status durable = Status::OK();
-  for (size_t i = 0; i < n; ++i) {
-    Status status = WaitDurable(&slots[i]);
+  for (size_t j = 0; j < m; ++j) {
+    Status status = WaitDurable(&slots[j]);
     if (durable.ok() && !status.ok()) durable = status;
   }
 
-  struct ItemOutcome {
-    Status status;
-    uint64_t version = 0;
-    Timestamp commit_ts;
-  };
-  std::vector<ItemOutcome> outcomes(n);
   uint64_t publish = 0;
-  BeginTurn(slots.front().ticket);
+  if (!slots.empty()) BeginTurn(slots.front().ticket);
   if (durable.ok()) {
-    WriterLock lock(commit_mu_);
-    for (size_t i = 0; i < n; ++i) {
+    // Each item publishes in its own exclusive section, so readers may run
+    // between items — they see a prefix of the run, exactly as they would
+    // between N sequential Puts.
+    for (size_t j = 0; j < m; ++j) {
+      const size_t i = run[j];
       const WriteBatchItem& item = request.items[i];
-      if (item.kind == WriteBatchItem::Kind::kPut) {
-        auto result = db_->PutDocumentAt(item.url, item.xml_text, slots[i].ts);
-        if (result.ok()) {
-          outcomes[i].version = result->version;
-          outcomes[i].commit_ts = result->commit_ts;
-        } else {
-          outcomes[i].status = result.status();
-        }
-      } else {
-        outcomes[i].status = db_->DeleteDocumentAt(item.url, slots[i].ts);
-        outcomes[i].commit_ts = slots[i].ts;
+      ItemOutcome& outcome = outcomes[i];
+      if (item.kind == WriteBatchItem::Kind::kDelete) {
+        WriterLock lock(commit_mu_);
+        outcome.status = db_->DeleteDocumentAt(item.url, slots[j].ts);
+        outcome.commit_ts = slots[j].ts;
+        continue;
       }
+      if (trees[i] != nullptr) {
+        prepared[j] =
+            PrepareUnderStripe(item.url, std::move(trees[i]), slots[j].ts);
+      }
+      if (!prepared[j].ok()) {
+        outcome.status = prepared[j].status();
+        continue;
+      }
+      WriterLock lock(commit_mu_);
+      PutResult result = db_->PublishPut(std::move(*prepared[j]));
+      outcome.version = result.version;
+      outcome.commit_ts = result.commit_ts;
     }
-    for (size_t i = 0; i < n; ++i) {
-      if (slots[i].logged) publish = slots[i].ticket;
+    for (size_t j = 0; j < m; ++j) {
+      if (slots[j].logged) publish = slots[j].ticket;
     }
   }
-  FinishTurn(slots.back().ticket, publish);
+  if (!slots.empty()) FinishTurn(slots.back().ticket, publish);
   for (size_t index : shards) UnlockShard(index);
 
   if (!durable.ok()) {
@@ -827,7 +920,19 @@ Status TemporalQueryService::ApplyReplicated(const WalRecord& record) {
   // records are logged there before the database write) — skip and move
   // on, exactly as recovery does.
   Status applied;
-  {
+  if (record.type == WalRecordType::kPut) {
+    // Prepare beside readers (every stripe is held, so nothing else
+    // writes); only the publish takes the exclusive lock.
+    StatusOr<std::optional<TemporalXmlDatabase::PreparedPut>> put = [&] {
+      ReaderLock lock(commit_mu_);
+      return PrepareWalPut(*db_, record);
+    }();
+    applied = put.status();
+    if (put.ok() && put->has_value()) {
+      WriterLock lock(commit_mu_);
+      db_->PublishPut(std::move(**put));
+    }
+  } else {
     WriterLock lock(commit_mu_);
     applied = ApplyWalRecord(db_.get(), record);
   }
@@ -880,7 +985,9 @@ Status TemporalQueryService::CheckpointQuiesced() {
     // for the new-files/old-stamp window, and the Open() sequence floor
     // for the new-stamp/old-log window.
     {
-      WriterLock lock(commit_mu_);
+      // Shared side: every stripe is held, so no writer can run, and
+      // readers keep going while the database encodes.
+      ReaderLock lock(commit_mu_);
       TXML_RETURN_IF_ERROR(db_->Save(data_dir_));
     }
     TXML_RETURN_IF_ERROR(WriteCheckpointStamp(data_dir_, covered));

@@ -391,6 +391,15 @@ class TemporalQueryService {
   template <typename ApplyFn>
   Status CommitSlotApply(CommitSlot* slot, ApplyFn apply);
 
+  /// Resolves (shared commit lock) and prepares (no commit lock) a put of
+  /// `tree` at `ts`. The caller holds the document's commit stripe, which
+  /// keeps the document still until its publish (DESIGN.md §12). Analysis
+  /// opt-out: the prepare reads the guarded database without commit_mu_,
+  /// which only that stripe argument makes safe.
+  StatusOr<TemporalXmlDatabase::PreparedPut> PrepareUnderStripe(
+      const std::string& url, std::unique_ptr<XmlNode> tree, Timestamp ts)
+      NO_THREAD_SAFETY_ANALYSIS;
+
   /// Shared implementation of Put/PutAt/Execute(PutRequest).
   StatusOr<PutResult> CommitPut(const std::string& url,
                                 std::string_view xml_text,

@@ -32,24 +32,66 @@ StatusOr<std::string_view> ReadFramedRecord(Decoder* decoder) {
 
 }  // namespace
 
-StatusOr<VersionedDocumentStore::PutResult> VersionedDocumentStore::Put(
-    const std::string& url, std::unique_ptr<XmlNode> content, Timestamp ts) {
+VersionedDocumentStore::PreparedPut VersionedDocumentStore::ResolvePut(
+    const std::string& url) const {
+  PreparedPut put;
+  put.url = url;
+  put.doc = FindByUrl(url);
+  const DocId doc_id = put.doc != nullptr ? put.doc->doc_id() : 0;
+  put.observed.reserve(observers_.size());
+  for (const StoreObserver* observer : observers_) {
+    put.observed.push_back(observer->BeginVersion(doc_id));
+  }
+  return put;
+}
+
+Status VersionedDocumentStore::PreparePut(PreparedPut* put,
+                                          std::unique_ptr<XmlNode> content,
+                                          Timestamp ts) const {
+  StatusOr<VersionedDocument::PreparedVersion> version =
+      put->doc != nullptr
+          ? put->doc->PrepareVersion(std::move(content), ts)
+          // First contact: diff against a document with no history.
+          : VersionedDocument(0, put->url, options_.snapshot_every)
+                .PrepareVersion(std::move(content), ts);
+  if (!version.ok()) return version.status();
+  for (const auto& pending : put->observed) {
+    if (pending != nullptr) pending->Prepare(*version->tree);
+  }
+  put->version = std::move(*version);
+  return Status::OK();
+}
+
+VersionedDocumentStore::PutResult VersionedDocumentStore::PublishPut(
+    PreparedPut put) {
+  TXML_CHECK(put.version.has_value());
+  TXML_CHECK(put.observed.size() == observers_.size());
   writes_begun_ = true;
-  VersionedDocument* doc = FindByUrl(url);
+  VersionedDocument* doc = FindByUrl(put.url);
+  TXML_CHECK(doc == put.doc);
   if (doc == nullptr) {
     auto owned = std::make_unique<VersionedDocument>(
-        next_doc_id_++, url, options_.snapshot_every);
+        next_doc_id_++, put.url, options_.snapshot_every);
     doc = owned.get();
     by_id_[doc->doc_id()] = std::move(owned);
-    by_url_[url] = doc;
+    by_url_[put.url] = doc;
   }
-  TXML_ASSIGN_OR_RETURN(VersionedDocument::AppendResult appended,
-                        doc->AppendVersion(std::move(content), ts));
-  for (StoreObserver* observer : observers_) {
-    observer->OnVersionStored(doc->doc_id(), appended.version, ts,
-                              *doc->current(), appended.delta);
+  const Timestamp ts = put.version->ts;
+  VersionedDocument::AppendResult appended =
+      doc->PublishVersion(std::move(*put.version));
+  for (size_t i = 0; i < observers_.size(); ++i) {
+    observers_[i]->PublishVersion(doc->doc_id(), appended.version, ts,
+                                  *doc->current(), appended.delta,
+                                  put.observed[i].get());
   }
   return PutResult{doc->doc_id(), appended.version};
+}
+
+StatusOr<VersionedDocumentStore::PutResult> VersionedDocumentStore::Put(
+    const std::string& url, std::unique_ptr<XmlNode> content, Timestamp ts) {
+  PreparedPut put = ResolvePut(url);
+  TXML_RETURN_IF_ERROR(PreparePut(&put, std::move(content), ts));
+  return PublishPut(std::move(put));
 }
 
 Status VersionedDocumentStore::Delete(const std::string& url, Timestamp ts) {

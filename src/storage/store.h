@@ -3,6 +3,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -34,14 +35,52 @@ namespace txml {
 ///  * a reader that is prevented from running concurrently with Put/Delete
 ///    (e.g. via the service layer's shared commit lock) therefore never
 ///    observes a version without its index/cache updates, or vice versa.
+///
+/// A put may also run in phases (VersionedDocumentStore::PreparedPut), and
+/// an observer may move its costly work into the prepare phase through
+/// BeginVersion. Only the publish phase is under the single-writer
+/// contract; everything above applies to it unchanged.
 class StoreObserver {
  public:
+  /// One version's observer work, started by BeginVersion and completed
+  /// by PublishVersion.
+  class PendingVersion {
+   public:
+    virtual ~PendingVersion() = default;
+    /// Computes the work against `next`, the new version with its final
+    /// XIDs and stamps. Runs beside readers and beside other documents'
+    /// publishes: it may read only the per-document state BeginVersion
+    /// captured (DESIGN.md §12 lists what that may be).
+    virtual void Prepare(const XmlNode& next) = 0;
+  };
+
   virtual ~StoreObserver() = default;
 
   /// A new version was stored. `delta` is null for the first version.
   virtual void OnVersionStored(DocId doc_id, VersionNum version,
                                Timestamp ts, const XmlNode& current,
                                const EditScript* delta) = 0;
+
+  /// Starts the prepare phase for a new version of `doc_id` (0 for a
+  /// document the store has not created yet). Called where publishes are
+  /// excluded (the service's shared commit lock), so it may look up
+  /// per-document state and capture pointers to it; those pointers must
+  /// survive other documents' publishes (node-based containers). Null,
+  /// the default, means the observer does all its work in PublishVersion.
+  virtual std::unique_ptr<PendingVersion> BeginVersion(DocId doc_id) const {
+    (void)doc_id;
+    return nullptr;
+  }
+
+  /// The publish phase: like OnVersionStored, with the prepared work of
+  /// this observer's BeginVersion (null if it returned null). The default
+  /// forwards to OnVersionStored.
+  virtual void PublishVersion(DocId doc_id, VersionNum version, Timestamp ts,
+                              const XmlNode& current, const EditScript* delta,
+                              PendingVersion* prepared) {
+    (void)prepared;
+    OnVersionStored(doc_id, version, ts, current, delta);
+  }
 
   /// The document was deleted at `ts` (its last version was `last`).
   virtual void OnDocumentDeleted(DocId doc_id, VersionNum last,
@@ -94,9 +133,37 @@ class VersionedDocumentStore {
     VersionNum version = 0;
   };
 
+  /// A put between its phases (DESIGN.md §12). The phases differ in what
+  /// they must exclude:
+  ///  * ResolvePut looks the document and the observers' per-document
+  ///    state up. Publishes must be excluded (a shared lock suffices).
+  ///  * PreparePut parses nothing and links nothing: it diffs against the
+  ///    current version and lets the observers compute their changes. It
+  ///    needs only that nothing else writes *this* document until the
+  ///    publish (the service's commit stripe), and it runs beside readers
+  ///    and beside other documents' publishes.
+  ///  * PublishPut links the prepared version in, under the single-writer
+  ///    contract. It creates the document on first contact.
+  struct PreparedPut {
+    std::string url;
+    /// The document as resolved; null on first contact.
+    const VersionedDocument* doc = nullptr;
+    /// Parallel to the observer list (null entries: nothing prepared).
+    std::vector<std::unique_ptr<StoreObserver::PendingVersion>> observed;
+    /// Set by a successful PreparePut.
+    std::optional<VersionedDocument::PreparedVersion> version;
+  };
+
+  PreparedPut ResolvePut(const std::string& url) const;
+  Status PreparePut(PreparedPut* put, std::unique_ptr<XmlNode> content,
+                    Timestamp ts) const;
+  /// Precondition: PreparePut(&put, …) succeeded and nothing wrote the
+  /// document since ResolvePut.
+  PutResult PublishPut(PreparedPut put);
+
   /// Stores a new version of the document at `url`, creating the document
   /// on first contact. `ts` must exceed every timestamp already recorded
-  /// for the document.
+  /// for the document. The three phases above, back to back.
   StatusOr<PutResult> Put(const std::string& url,
                           std::unique_ptr<XmlNode> content, Timestamp ts);
 

@@ -15,8 +15,9 @@ VersionedDocument::VersionedDocument(DocId doc_id, std::string url,
                                      uint32_t snapshot_every)
     : doc_id_(doc_id), url_(std::move(url)), snapshot_every_(snapshot_every) {}
 
-StatusOr<VersionedDocument::AppendResult> VersionedDocument::AppendVersion(
-    std::unique_ptr<XmlNode> content, Timestamp ts) {
+StatusOr<VersionedDocument::PreparedVersion>
+VersionedDocument::PrepareVersion(std::unique_ptr<XmlNode> content,
+                                  Timestamp ts) const {
   if (content == nullptr || !content->is_element()) {
     return Status::InvalidArgument("document version must be an element tree");
   }
@@ -29,28 +30,48 @@ StatusOr<VersionedDocument::AppendResult> VersionedDocument::AppendVersion(
         "version timestamps must be strictly increasing (transaction time)");
   }
 
-  AppendResult result;
+  PreparedVersion prepared;
+  prepared.xids = xids_;
+  prepared.ts = ts;
   if (current_ == nullptr) {
-    AssignFreshXids(content.get(), &xids_);
+    AssignFreshXids(content.get(), &prepared.xids);
     StampAll(content.get(), ts);
-    current_ = std::move(content);
-    delta_index_.Append(ts);
-    result.version = 1;
-    return result;
+  } else {
+    TXML_ASSIGN_OR_RETURN(
+        DiffResult diff, DiffTrees(*current_, content.get(), &prepared.xids,
+                                   ts));
+    prepared.delta = std::move(diff.script);
+    const VersionNum version = version_count() + 1;
+    if (snapshot_every_ > 0 && version % snapshot_every_ == 0) {
+      prepared.snapshot = content->Clone();
+    }
   }
+  prepared.tree = std::move(content);
+  return prepared;
+}
 
-  TXML_ASSIGN_OR_RETURN(DiffResult diff,
-                        DiffTrees(*current_, content.get(), &xids_, ts));
-  deltas_.push_back(std::move(diff.script));
-  delta_index_.Append(ts);
-  current_ = std::move(content);
+VersionedDocument::AppendResult VersionedDocument::PublishVersion(
+    PreparedVersion prepared) {
+  xids_ = prepared.xids;
+  delta_index_.Append(prepared.ts);
+  current_ = std::move(prepared.tree);
+  AppendResult result;
   result.version = version_count();
-  result.delta = &deltas_.back();
-
-  if (snapshot_every_ > 0 && result.version % snapshot_every_ == 0) {
-    snapshots_[result.version] = current_->Clone();
+  if (prepared.delta.has_value()) {
+    deltas_.push_back(std::move(*prepared.delta));
+    result.delta = &deltas_.back();
+  }
+  if (prepared.snapshot != nullptr) {
+    snapshots_[result.version] = std::move(prepared.snapshot);
   }
   return result;
+}
+
+StatusOr<VersionedDocument::AppendResult> VersionedDocument::AppendVersion(
+    std::unique_ptr<XmlNode> content, Timestamp ts) {
+  TXML_ASSIGN_OR_RETURN(PreparedVersion prepared,
+                        PrepareVersion(std::move(content), ts));
+  return PublishVersion(std::move(prepared));
 }
 
 Status VersionedDocument::MarkDeleted(Timestamp ts) {

@@ -3,6 +3,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -70,10 +71,36 @@ class VersionedDocument {
     const EditScript* delta = nullptr;
   };
 
-  /// Appends a new version with commit time `ts` (must exceed the last
-  /// version's). `content` arrives XID-free (fresh parse); on return it has
-  /// become the current version, with XIDs propagated from the previous
-  /// version by the differ and timestamps per the data model.
+  /// A new version diffed against the current one but not yet linked in.
+  struct PreparedVersion {
+    /// The new current version: XIDs propagated by the differ, timestamps
+    /// stamped per the data model.
+    std::unique_ptr<XmlNode> tree;
+    /// Delta from the current version; empty for a first version.
+    std::optional<EditScript> delta;
+    /// Complete copy of `tree` when the new version is a snapshot version.
+    std::unique_ptr<XmlNode> snapshot;
+    /// Private copy of the document's allocator, advanced past every XID
+    /// the diff handed out; it becomes the document's at publish.
+    XidAllocator xids;
+    Timestamp ts;
+  };
+
+  /// The costly half of an append: validates `ts` (must exceed the last
+  /// version's) and diffs `content` (XID-free, a fresh parse) against the
+  /// current version. Reads only the current tree, the XID counter and
+  /// the delta-index tail, and writes nothing, so it may run beside
+  /// readers and beside appends to other documents (DESIGN.md §12). The
+  /// result is valid until this document's next append or vacuum.
+  StatusOr<PreparedVersion> PrepareVersion(std::unique_ptr<XmlNode> content,
+                                           Timestamp ts) const;
+
+  /// The cheap half: links a PrepareVersion result in as the new current
+  /// version. O(change) apart from freeing the replaced tree.
+  AppendResult PublishVersion(PreparedVersion prepared);
+
+  /// PublishVersion(PrepareVersion(content, ts)): on return `content` has
+  /// become the current version.
   StatusOr<AppendResult> AppendVersion(std::unique_ptr<XmlNode> content,
                                        Timestamp ts);
 

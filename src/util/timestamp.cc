@@ -175,7 +175,14 @@ std::string Timestamp::ToString() const {
 }
 
 std::string TimeInterval::ToString() const {
-  return "[" + start.ToString() + ", " + end.ToString() + ")";
+  // Appended piecewise: GCC 12 at -O2/-O3 inlines the memcpy of a chained
+  // `"[" + a + ", " + b` temporary and raises a false -Werror=restrict.
+  std::string out = "[";
+  out += start.ToString();
+  out += ", ";
+  out += end.ToString();
+  out += ")";
+  return out;
 }
 
 }  // namespace txml

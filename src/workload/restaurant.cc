@@ -43,7 +43,10 @@ RestaurantWorkload::RestaurantWorkload(Options options)
 std::string RestaurantWorkload::FreshName() {
   std::string name = kNameParts[next_name_ % 12];
   uint64_t serial = next_name_++ / 12;
-  if (serial > 0) name += " " + std::to_string(serial);
+  if (serial > 0) {
+    name += " ";
+    name += std::to_string(serial);
+  }
   return name;
 }
 

@@ -46,8 +46,9 @@ std::string TDocGen::MakeText() {
 
 std::unique_ptr<XmlNode> TDocGen::MakeItem() {
   auto item = XmlNode::Element("item");
-  item->AddChild(
-      XmlNode::Attribute("key", "k" + std::to_string(next_key_++)));
+  std::string key = "k";
+  key += std::to_string(next_key_++);
+  item->AddChild(XmlNode::Attribute("key", std::move(key)));
   size_t fields = 2 + rng_.Uniform(3);
   for (size_t f = 0; f < fields && f < kFieldNameCount; ++f) {
     XmlNode* field = item->AddChild(XmlNode::Element(kFieldNames[f]));

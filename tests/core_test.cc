@@ -3,8 +3,10 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "src/core/database.h"
+#include "src/xml/parser.h"
 #include "src/workload/restaurant.h"
 #include "src/workload/tdocgen.h"
 
@@ -112,6 +114,58 @@ TEST(DatabaseTest, LifetimeIndexCanBeDisabled) {
       /*pretty=*/false);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_NE(result->find("15/01/2001"), std::string::npos) << *result;
+}
+
+/// The database's full persistent image: store plus both indexes.
+std::string EncodedImage(const TemporalXmlDatabase& db) {
+  std::string image;
+  db.store().EncodeTo(&image);
+  db.fti().EncodeTo(&image);
+  db.lifetime_index()->EncodeTo(&image);
+  return image;
+}
+
+// A prepared put writes nothing: it may be dropped without a trace, other
+// documents may publish while it waits, and publishing it afterwards
+// leaves the same image as the plain sequential puts.
+TEST(DatabaseTest, PreparedPutChangesNothingUntilPublished) {
+  const std::string next_xml =
+      "<guide><restaurant><name>Akropolis</name><price>9</price>"
+      "</restaurant><restaurant><name>Napoli</name></restaurant></guide>";
+  // Both after the Figure-1 history, "other" first.
+  const Timestamp other_ts = Timestamp::FromDate(2001, 2, 9);
+  const Timestamp next_ts = Timestamp::FromDate(2001, 2, 10);
+  auto parse = [](const std::string& xml) {
+    auto doc = ParseXml(xml);
+    EXPECT_TRUE(doc.ok()) << doc.status().ToString();
+    return doc->ReleaseRoot();
+  };
+
+  TemporalXmlDatabase db;
+  LoadFigure1(&db);
+  const std::string before = EncodedImage(db);
+
+  TemporalXmlDatabase::PreparedPut stale = db.ResolvePut(kGuideUrl);
+  EXPECT_TRUE(db.PreparePut(&stale, parse(next_xml), Day(2))
+                  .IsInvalidArgument());
+  TemporalXmlDatabase::PreparedPut dropped = db.ResolvePut(kGuideUrl);
+  ASSERT_TRUE(db.PreparePut(&dropped, parse(next_xml), next_ts).ok());
+  EXPECT_EQ(EncodedImage(db), before);
+
+  TemporalXmlDatabase::PreparedPut put = db.ResolvePut(kGuideUrl);
+  ASSERT_TRUE(db.PreparePut(&put, parse(next_xml), next_ts).ok());
+  ASSERT_TRUE(db.PutDocumentAt("other", "<d><x>1</x></d>", other_ts).ok());
+  TemporalXmlDatabase::PutResult published = db.PublishPut(std::move(put));
+  EXPECT_EQ(published.commit_ts, next_ts);
+
+  TemporalXmlDatabase reference;
+  LoadFigure1(&reference);
+  ASSERT_TRUE(
+      reference.PutDocumentAt("other", "<d><x>1</x></d>", other_ts).ok());
+  auto expected = reference.PutDocumentAt(kGuideUrl, next_xml, next_ts);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  EXPECT_EQ(published.version, expected->version);
+  EXPECT_EQ(EncodedImage(db), EncodedImage(reference));
 }
 
 TEST(WorkloadTest, TDocGenShapes) {

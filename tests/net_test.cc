@@ -452,7 +452,9 @@ TEST(NetRateLimiterTest, SingleBucketCapStillAdmits) {
   options.max_buckets = 1;
   TokenBucketRateLimiter limiter(options, [&now] { return now; });
   for (int i = 0; i < 20; ++i) {
-    EXPECT_TRUE(limiter.Admit("k" + std::to_string(i)));
+    std::string key = "k";
+    key += std::to_string(i);
+    EXPECT_TRUE(limiter.Admit(key));
     ASSERT_LE(limiter.bucket_count(), 1u);
   }
 }

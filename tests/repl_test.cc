@@ -862,7 +862,8 @@ TEST(ReplicationTest, FollowerMatchesLeaderUnderConcurrentWriters) {
     std::vector<std::thread> writers;
     for (int w = 0; w < kWriters; ++w) {
       writers.emplace_back([&leader, &failed, w] {
-        std::string url = "w" + std::to_string(w);
+        std::string url = "w";
+        url += std::to_string(w);
         for (int i = 1; i <= kCommitsPerWriter; ++i) {
           auto put = leader->service->Put(url, GuideXml(i));
           if (!put.ok()) {

@@ -2,13 +2,17 @@
 // its sessions and thread pool, and the shared sharded snapshot cache —
 // including the multi-threaded stress test of the single-writer /
 // multi-reader model (run it under ThreadSanitizer: scripts/check.sh).
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <future>
 #include <iterator>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,6 +22,7 @@
 #include "src/service/snapshot_cache.h"
 #include "src/service/thread_pool.h"
 #include "src/xml/parser.h"
+#include "src/xml/serializer.h"
 
 namespace txml {
 namespace {
@@ -439,8 +444,9 @@ TEST(ServiceStressTest, ConcurrentReadersMatchSerialOracleUnderWrites) {
       // rotation once the midpoint delete has happened.
       int live_docs = i > kWriterCommits / 2 ? 3 : 4;
       std::string url = "aux" + std::to_string(i % live_docs);
-      auto put = session->Put(
-          url, "<d>" + ItemXml("w" + std::to_string(i), i) + "</d>");
+      std::string name = "w";
+      name += std::to_string(i);
+      auto put = session->Put(url, "<d>" + ItemXml(name, i) + "</d>");
       if (!put.ok()) {
         failed.store(true);
         ADD_FAILURE() << "writer: " << put.status().ToString();
@@ -610,8 +616,9 @@ TEST(ServiceStressTest, ConcurrentDisjointWritersMatchSerialOracle) {
     writers.emplace_back([&service, &failed, w] {
       std::string url = "doc" + std::to_string(w);
       for (int i = 0; i < kCommitsPerWriter && !failed.load(); ++i) {
-        auto put = service.Put(
-            url, "<d>" + ItemXml("w" + std::to_string(w), i) + "</d>");
+        std::string name = "w";
+        name += std::to_string(w);
+        auto put = service.Put(url, "<d>" + ItemXml(name, i) + "</d>");
         if (!put.ok()) {
           failed.store(true);
           ADD_FAILURE() << "writer " << w << ": " << put.status().ToString();
@@ -819,6 +826,314 @@ TEST(ServiceTest, WriteBatchIntraBatchPutThenDelete) {
       RunQuery(service, "SELECT X FROM doc(\"ephemeral\")[NOW]/x X", false);
   ASSERT_TRUE(now.ok());
   EXPECT_EQ(now->find("<x>"), std::string::npos) << *now;
+}
+
+// The current version of a live document is aliased for one execution,
+// never cloned into the shared cache: repeating a current-version query
+// inserts nothing and answers byte-equally.
+TEST(ServiceTest, CurrentVersionQueriesNeverEnterSnapshotCache) {
+  ServiceOptions options;
+  options.snapshot_cache_capacity = 64;
+  TemporalQueryService service(options);
+  PutHotHistory(&service);
+
+  const std::string query = "SELECT R FROM doc(\"hot\")[NOW]/item R";
+  const uint64_t before = service.Stats().snapshot_cache.insertions;
+  auto first = RunQuery(service, query);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  auto second = RunQuery(service, query);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(*first, *second);
+  EXPECT_NE(first->find("alpha"), std::string::npos) << *first;
+  EXPECT_EQ(service.Stats().snapshot_cache.insertions, before);
+
+  // A past version is still memoized.
+  ASSERT_TRUE(RunQuery(service, kStableQueries[0]).ok());
+  EXPECT_GT(service.Stats().snapshot_cache.insertions, before);
+}
+
+/// Serialized answers of `queries` on `service`'s database at its latest
+/// epoch, with the scan arm pinned. Only for quiescent services.
+std::vector<std::string> PinnedAnswers(const TemporalQueryService& service,
+                                       const std::vector<std::string>& queries,
+                                       ScanStrategy strategy) {
+  ExecOptions options;
+  options.now = service.database().latest_commit();
+  options.scan_strategy = strategy;
+  QueryExecutor executor(service.database().Context(), options);
+  std::vector<std::string> answers;
+  ExecStats stats;
+  for (const std::string& query : queries) {
+    auto result = executor.Execute(query, &stats);
+    answers.push_back(result.ok() ? result->ToString()
+                                  : "<error: " + result.status().ToString());
+  }
+  return answers;
+}
+
+// A batch that writes one URL several times prepares the repeats inside
+// its turn, on top of the earlier items: it must leave exactly the state
+// the same edits leave when issued one by one.
+TEST(ServiceTest, WriteBatchWithRepeatedUrlsMatchesSequentialPuts) {
+  struct Edit {
+    WriteBatchItem::Kind kind;
+    std::string url;
+    std::string xml;
+  };
+  const std::vector<Edit> edits = {
+      {WriteBatchItem::Kind::kPut, "a",
+       "<d>" + ItemXml("alpha", 1) + ItemXml("beta", 2) + "</d>"},
+      {WriteBatchItem::Kind::kPut, "b", "<d>" + ItemXml("gamma", 3) + "</d>"},
+      {WriteBatchItem::Kind::kPut, "a",
+       "<d>" + ItemXml("alpha", 4) + ItemXml("delta", 5) + "</d>"},
+      {WriteBatchItem::Kind::kPut, "a",
+       "<d>" + ItemXml("delta", 5) + ItemXml("eps", 6) + "</d>"},
+      {WriteBatchItem::Kind::kPut, "b", "<d><item><unclosed></d>"},
+      {WriteBatchItem::Kind::kDelete, "a", ""},
+      {WriteBatchItem::Kind::kPut, "a", "<d>" + ItemXml("zeta", 7) + "</d>"},
+      {WriteBatchItem::Kind::kPut, "b",
+       "<d>" + ItemXml("gamma", 8) + ItemXml("eta", 9) + "</d>"},
+  };
+
+  TemporalQueryService batched;
+  WriteBatchRequest batch;
+  for (const Edit& edit : edits) {
+    WriteBatchItem item;
+    item.kind = edit.kind;
+    item.url = edit.url;
+    item.xml_text = edit.xml;
+    batch.items.push_back(item);
+  }
+  auto response = batched.Execute(batch);
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+
+  TemporalQueryService sequential;
+  std::vector<bool> sequential_ok;
+  for (const Edit& edit : edits) {
+    sequential_ok.push_back(edit.kind == WriteBatchItem::Kind::kPut
+                                ? sequential.Put(edit.url, edit.xml).ok()
+                                : sequential.Delete(edit.url).ok());
+  }
+  // put a x3, put b, delete a succeed; bad XML and put-after-delete fail.
+  EXPECT_EQ(sequential_ok, (std::vector<bool>{true, true, true, true, false,
+                                              true, false, true}));
+  EXPECT_NE(response->payload.find("committed=\"6\" failed=\"2\""),
+            std::string::npos)
+      << response->payload;
+  EXPECT_EQ(batched.Stats().writes_committed,
+            sequential.Stats().writes_committed);
+
+  // Same history, byte for byte: the store and both indexes encode equal.
+  std::string batched_store, sequential_store;
+  batched.database().store().EncodeTo(&batched_store);
+  sequential.database().store().EncodeTo(&sequential_store);
+  EXPECT_EQ(batched_store, sequential_store);
+  std::string batched_fti, sequential_fti;
+  batched.database().fti().EncodeTo(&batched_fti);
+  sequential.database().fti().EncodeTo(&sequential_fti);
+  EXPECT_EQ(batched_fti, sequential_fti);
+
+  const std::vector<std::string> queries = {
+      "SELECT R FROM doc(\"a\")[EVERY]/item R",
+      "SELECT R FROM doc(\"b\")[NOW]/item R",
+      "SELECT TIME(R), R/price FROM doc(\"b\")[EVERY]/item R",
+      "SELECT R/name FROM collection(\"*\")[EVERY]/item R "
+      "WHERE R/price > 3",
+      "SELECT CREATE TIME(R), R/name FROM doc(\"a\")[EVERY]/item R",
+      "SELECT CREATE TIME(R), R/name FROM doc(\"b\")[NOW]/item R",
+  };
+  for (ScanStrategy strategy :
+       {ScanStrategy::kIndex, ScanStrategy::kTraversal}) {
+    const std::vector<std::string> got =
+        PinnedAnswers(batched, queries, strategy);
+    EXPECT_EQ(got, PinnedAnswers(sequential, queries, strategy));
+    for (const std::string& answer : got) {
+      EXPECT_EQ(answer.find("<error"), std::string::npos) << answer;
+    }
+  }
+}
+
+/// The <result> rows of a compact answer, sorted: the index and traversal
+/// arms may emit the same rows in different orders.
+std::vector<std::string> SortedRows(const std::string& answer) {
+  std::vector<std::string> rows;
+  const std::string open = "<result>", close = "</result>";
+  for (size_t at = answer.find(open); at != std::string::npos;
+       at = answer.find(open, at)) {
+    size_t end = answer.find(close, at);
+    if (end == std::string::npos) break;
+    end += close.size();
+    rows.push_back(answer.substr(at, end - at));
+    at = end;
+  }
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+// Puts prepare beside readers and beside each other while only their
+// publishes serialize. Three disjoint writers, one writer sharing a
+// document with one of them, readers, folds and checkpoints race; every
+// read must hold the traversal-pinned oracle's rows at the epoch it ran
+// at.
+TEST(ServiceStressTest, PreparedPutsMatchTraversalOracleAtEveryEpoch) {
+  std::string dir =
+      (std::filesystem::temp_directory_path() / "txml_svc_prepared").string();
+  std::filesystem::remove_all(dir);
+  ServiceOptions options;
+  options.commit_shards = 8;
+  options.snapshot_cache_capacity = 16;
+  options.fti_compact_min_postings = 48;  // folds every few commits
+  options.durability.data_dir = dir;
+  options.durability.wal.sync_mode = WalSyncMode::kNone;
+  options.durability.checkpoint_log_records = 0;
+  options.durability.checkpoint_log_bytes = 0;
+  auto created = TemporalQueryService::Create(options);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  TemporalQueryService& service = **created;
+
+  const std::vector<std::string> kUrls = {"d0", "d1", "d2"};
+  auto queries_for = [](const std::string& url) {
+    return std::vector<std::string>{
+        "SELECT R FROM doc(\"" + url + "\")[NOW]/item R",
+        "SELECT CREATE TIME(R), R/name FROM doc(\"" + url +
+            "\")[NOW]/item R WHERE R/price > 2",
+    };
+  };
+  // Writers 0..2 own d0..d2; writer 3 shares d0 with writer 0.
+  constexpr int kWriters = 4;
+  constexpr int kCommitsPerWriter = 20;
+  constexpr int kReaders = 2;
+  std::atomic<bool> failed{false};
+  std::atomic<int> writers_left{kWriters};
+  std::vector<std::vector<Timestamp>> commits(kWriters);
+
+  struct Read {
+    Timestamp lo, hi;
+    std::string query;
+    std::string answer;
+  };
+  std::vector<std::vector<Read>> reads(kReaders);
+
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      const std::string& url = kUrls[w == 3 ? 0 : w];
+      for (int i = 0; i < kCommitsPerWriter && !failed.load(); ++i) {
+        std::string name = "w";
+        name += std::to_string(w);
+        std::string xml = "<d>" + ItemXml(name, i);
+        for (int k = 0; k < i % 4; ++k) {
+          std::string name = "k";
+          name += std::to_string(k);
+          xml += ItemXml(name, w + k);
+        }
+        xml += "</d>";
+        auto put = service.Put(url, xml);
+        if (!put.ok()) {
+          failed.store(true);
+          ADD_FAILURE() << "writer " << w << ": " << put.status().ToString();
+          break;
+        }
+        commits[w].push_back(put->commit_ts);
+      }
+      writers_left.fetch_sub(1);
+    });
+  }
+  threads.emplace_back([&] {
+    while (writers_left.load() > 0 && !failed.load()) {
+      Status status = service.Checkpoint();
+      if (!status.ok()) {
+        failed.store(true);
+        ADD_FAILURE() << "checkpoint: " << status.ToString();
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+  });
+  for (int r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&, r] {
+      for (int i = 0; writers_left.load() > 0 && !failed.load(); ++i) {
+        const auto queries = queries_for(kUrls[(r + i) % kUrls.size()]);
+        const std::string& query = queries[i % queries.size()];
+        Read read;
+        read.lo = service.Epoch();
+        auto answer = RunQuery(service, query, /*pretty=*/false);
+        read.hi = service.Epoch();
+        if (!answer.ok()) {
+          // A document may not exist yet at the reader's epoch.
+          if (answer.status().IsNotFound()) continue;
+          failed.store(true);
+          ADD_FAILURE() << "reader " << r << ": "
+                        << answer.status().ToString();
+          return;
+        }
+        read.query = query;
+        read.answer = std::move(*answer);
+        reads[r].push_back(std::move(read));
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  ASSERT_FALSE(failed.load());
+
+  ServiceStats stats = service.Stats();
+  EXPECT_EQ(stats.writes_committed,
+            static_cast<uint64_t>(kWriters * kCommitsPerWriter));
+  EXPECT_GT(stats.fti.compactions, 0u);
+  EXPECT_GT(stats.durability.checkpoints_completed, 0u);
+
+  // The oracle: the finished database with the traversal arm pinned and
+  // NOW set to a candidate epoch. A read's epoch lies in [lo, hi], and
+  // epochs are commit timestamps, so one of those candidates must match.
+  std::vector<Timestamp> all_commits;
+  for (const auto& list : commits) {
+    all_commits.insert(all_commits.end(), list.begin(), list.end());
+  }
+  std::sort(all_commits.begin(), all_commits.end());
+  std::map<std::pair<int64_t, std::string>, std::string> oracle;
+  auto oracle_at = [&](Timestamp epoch, const std::string& query) {
+    auto key = std::make_pair(epoch.micros(), query);
+    auto it = oracle.find(key);
+    if (it != oracle.end()) return it->second;
+    ExecOptions exec;
+    exec.now = epoch;
+    exec.scan_strategy = ScanStrategy::kTraversal;
+    exec.lifetime_strategy = LifetimeStrategy::kTraversal;
+    QueryExecutor executor(service.database().Context(), exec);
+    ExecStats exec_stats;
+    auto result = executor.Execute(query, &exec_stats);
+    SerializeOptions compact;
+    compact.pretty = false;
+    std::string answer = result.ok()
+                             ? SerializeXml(*result->root(), compact)
+                             : "<error: " + result.status().ToString();
+    return oracle.emplace(key, std::move(answer)).first->second;
+  };
+  size_t checked = 0;
+  for (const auto& reader_reads : reads) {
+    for (const Read& read : reader_reads) {
+      std::vector<Timestamp> candidates = {read.lo};
+      for (Timestamp ts : all_commits) {
+        if (read.lo < ts && ts <= read.hi) candidates.push_back(ts);
+      }
+      bool matched = false;
+      const std::vector<std::string> rows = SortedRows(read.answer);
+      for (Timestamp epoch : candidates) {
+        const std::string& expected = oracle_at(epoch, read.query);
+        if (expected == read.answer ||
+            (expected.rfind("<error", 0) != 0 &&
+             SortedRows(expected) == rows)) {
+          matched = true;
+          break;
+        }
+      }
+      EXPECT_TRUE(matched) << read.query << " between " << read.lo.ToString()
+                           << " and " << read.hi.ToString() << ": "
+                           << read.answer;
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 0u);
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

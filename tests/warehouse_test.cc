@@ -113,8 +113,10 @@ TEST_P(WarehouseConsistencyTest, LanguageAgreesWithStratumOracle) {
             mid.ToString().substr(0, 10) + "]/item I",
         false);
     ASSERT_TRUE(count_text.ok());
-    EXPECT_NE(count_text->find(">" + std::to_string(oracle_runs) + "<"),
-              std::string::npos)
+    std::string count_cell = ">";
+    count_cell += std::to_string(oracle_runs);
+    count_cell += "<";
+    EXPECT_NE(count_text->find(count_cell), std::string::npos)
         << *count_text << " vs oracle " << oracle_runs;
   }
 }
