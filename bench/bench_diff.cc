@@ -82,8 +82,10 @@ void BM_ApplyForward(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
     auto tree = pair->old_tree->Clone();
+    XidIndex index(alloc.next());
+    if (!index.Add(tree.get()).ok()) state.SkipWithError("index failed");
     state.ResumeTiming();
-    auto status = result->script.ApplyForward(tree.get());
+    auto status = result->script.ApplyForward(tree.get(), &index);
     if (!status.ok()) state.SkipWithError("apply failed");
     benchmark::DoNotOptimize(tree);
   }

@@ -56,8 +56,9 @@ TSAN_FILTER="-R Service|ThreadPool|StoreObserver|Net|Wire|Vacuum|ClientRetry|Rep
 # also picks up the WalGroupCommitTest multi-writer smoke, and "Service"
 # the concurrent-writer stress cases), plus the differential-FTI fold
 # suites ("Compaction": posting-vector splices and open-ref re-anchoring
-# are exactly the pointer surgery ASan is for).
-ASAN_FILTER="-R Vacuum|Retention|MergeEditScripts|Storage|Persist|Service|Wal|Durab|CrashRecovery|FailPoint|Repl|Compaction"
+# are exactly the pointer surgery ASan is for), and the delta-chain cursor
+# suites (forged deltas against the dense XID index).
+ASAN_FILTER="-R DeltaChainCursor|Vacuum|Retention|MergeEditScripts|Storage|Persist|Service|Wal|Durab|CrashRecovery|FailPoint|Repl|Compaction"
 JOBS=$(nproc)
 FUZZ_SECS=10
 while [[ $# -gt 0 ]]; do

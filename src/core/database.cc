@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "src/storage/delta_chain_cursor.h"
 #include "src/util/coding.h"
 #include "src/util/crc32c.h"
 #include "src/util/env.h"
@@ -61,30 +62,34 @@ void TemporalXmlDatabase::ReplayIntoIndexes(bool include_fti,
                         delta_index_ != nullptr || doctime_ != nullptr;
   for (const VersionedDocument* doc : store_->AllDocuments()) {
     if (needs_versions) {
-      // Replay walks the retained chain: a vacuumed document's history
-      // starts at first_retained() and may skip coarsened-away versions.
-      for (VersionNum v = doc->first_retained();
-           v != 0 && v <= doc->version_count(); v = doc->NextRetained(v)) {
-        auto tree = doc->ReconstructVersion(v);
-        TXML_CHECK(tree.ok());
-        Timestamp ts = doc->delta_index().TimestampOf(v);
-        const EditScript* delta =
-            v > doc->first_retained()
-                ? &doc->RetainedTransition(doc->PrevRetained(v))
-                : nullptr;
-        if (include_fti) {
-          fti_->OnVersionStored(doc->doc_id(), v, ts, **tree, delta);
-        }
-        if (include_lifetime && lifetime_ != nullptr) {
-          lifetime_->OnVersionStored(doc->doc_id(), v, ts, **tree, delta);
-        }
-        if (delta_index_ != nullptr) {
-          delta_index_->OnVersionStored(doc->doc_id(), v, ts, **tree, delta);
-        }
-        if (doctime_ != nullptr) {
-          doctime_->OnVersionStored(doc->doc_id(), v, ts, **tree, delta);
-        }
-      }
+      // Replay walks the retained chain forward with one cursor: a
+      // vacuumed document's history starts at first_retained() and may
+      // skip coarsened-away versions.
+      Status replayed = ForEachRetainedVersion(
+          *doc, [&](const DeltaChainCursor& cursor) {
+            const VersionNum v = cursor.version();
+            const XmlNode& tree = cursor.tree();
+            Timestamp ts = doc->delta_index().TimestampOf(v);
+            const EditScript* delta =
+                v > doc->first_retained()
+                    ? &doc->RetainedTransition(doc->PrevRetained(v))
+                    : nullptr;
+            if (include_fti) {
+              fti_->OnVersionStored(doc->doc_id(), v, ts, tree, delta);
+            }
+            if (include_lifetime && lifetime_ != nullptr) {
+              lifetime_->OnVersionStored(doc->doc_id(), v, ts, tree, delta);
+            }
+            if (delta_index_ != nullptr) {
+              delta_index_->OnVersionStored(doc->doc_id(), v, ts, tree,
+                                            delta);
+            }
+            if (doctime_ != nullptr) {
+              doctime_->OnVersionStored(doc->doc_id(), v, ts, tree, delta);
+            }
+            return Status::OK();
+          });
+      TXML_CHECK(replayed.ok());
       if (doc->deleted()) {
         if (include_fti) {
           fti_->OnDocumentDeleted(doc->doc_id(), doc->version_count(),

@@ -1,7 +1,7 @@
 #include "src/diff/edit_script.h"
 
+#include <algorithm>
 #include <cstdlib>
-#include <unordered_map>
 #include <utility>
 
 #include "src/util/coding.h"
@@ -12,34 +12,16 @@
 namespace txml {
 namespace {
 
-/// XID → node index over a live tree, maintained across script application
-/// so each operation resolves its targets in O(1).
-class XidIndex {
- public:
-  explicit XidIndex(XmlNode* root) { Add(root); }
-
-  XmlNode* Find(Xid xid) const {
-    auto it = map_.find(xid);
-    return it == map_.end() ? nullptr : it->second;
-  }
-
-  void Add(XmlNode* node) {
-    if (node->xid() != kInvalidXid) map_[node->xid()] = node;
-    for (size_t i = 0; i < node->child_count(); ++i) Add(node->child(i));
-  }
-
-  void Remove(const XmlNode* node) {
-    if (node->xid() != kInvalidXid) map_.erase(node->xid());
-    for (size_t i = 0; i < node->child_count(); ++i) Remove(node->child(i));
-  }
-
- private:
-  std::unordered_map<Xid, XmlNode*> map_;
-};
-
 Status MissingXid(Xid xid) {
   return Status::Corruption("delta refers to unknown xid " +
                             std::to_string(xid));
+}
+
+Status CheckIndexed(const XmlNode* root, const XidIndex& index) {
+  if (index.Find(root->xid()) != root) {
+    return Status::InvalidArgument("xid index does not cover the tree");
+  }
+  return Status::OK();
 }
 
 Status ApplyInsert(const EditOp& op, XidIndex* index) {
@@ -52,8 +34,7 @@ Status ApplyInsert(const EditOp& op, XidIndex* index) {
     return Status::Corruption("insert op without subtree");
   }
   XmlNode* inserted = parent->InsertChild(op.pos, op.subtree->Clone());
-  index->Add(inserted);
-  return Status::OK();
+  return index->Add(inserted);
 }
 
 Status ApplyDelete(const EditOp& op, XidIndex* index) {
@@ -88,15 +69,57 @@ Status ApplyMove(XidIndex* index, Xid target, Xid from_parent,
       return Status::Corruption("move destination inside moved subtree");
     }
   }
-  std::unique_ptr<XmlNode> detached = source->RemoveChild(from_pos);
-  if (to_pos > dest->child_count()) {
+  // to_pos counts the destination's children after the detach. Checking
+  // it first means a failed move never frees the subtree the index still
+  // points into.
+  if (to_pos > dest->child_count() - (dest == source ? 1 : 0)) {
     return Status::Corruption("move destination position out of range");
   }
-  dest->InsertChild(to_pos, std::move(detached));
+  dest->InsertChild(to_pos, source->RemoveChild(from_pos));
   return Status::OK();
 }
 
 }  // namespace
+
+XidIndex::XidIndex(Xid capacity, size_t expected_nodes)
+    : capacity_(capacity),
+      dense_(std::min<size_t>(capacity,
+                              kDenseFloor + kDensePerNode * expected_nodes),
+             nullptr) {
+  dense_floor_ = capacity - static_cast<Xid>(dense_.size());
+}
+
+Status XidIndex::Add(XmlNode* subtree) {
+  const Xid xid = subtree->xid();
+  if (xid >= capacity_) {
+    return Status::Corruption("xid " + std::to_string(xid) +
+                              " is beyond the document's xid range [1, " +
+                              std::to_string(capacity_) + ")");
+  }
+  if (xid != kInvalidXid) {
+    if (xid >= dense_floor_) {
+      dense_[xid - dense_floor_] = subtree;
+    } else {
+      sparse_[xid] = subtree;
+    }
+  }
+  for (size_t i = 0; i < subtree->child_count(); ++i) {
+    TXML_RETURN_IF_ERROR(Add(subtree->child(i)));
+  }
+  return Status::OK();
+}
+
+void XidIndex::Remove(const XmlNode* subtree) {
+  const Xid xid = subtree->xid();
+  if (xid >= dense_floor_ && xid < capacity_) {
+    dense_[xid - dense_floor_] = nullptr;
+  } else {
+    sparse_.erase(xid);
+  }
+  for (size_t i = 0; i < subtree->child_count(); ++i) {
+    Remove(subtree->child(i));
+  }
+}
 
 EditOp EditOp::Clone() const {
   EditOp copy;
@@ -114,18 +137,18 @@ EditOp EditOp::Clone() const {
   return copy;
 }
 
-Status EditScript::ApplyForward(XmlNode* root) const {
-  XidIndex index(root);
+Status EditScript::ApplyForward(XmlNode* root, XidIndex* index) const {
+  TXML_RETURN_IF_ERROR(CheckIndexed(root, *index));
   for (const EditOp& op : ops_) {
     switch (op.kind) {
       case EditOp::Kind::kInsert:
-        TXML_RETURN_IF_ERROR(ApplyInsert(op, &index));
+        TXML_RETURN_IF_ERROR(ApplyInsert(op, index));
         break;
       case EditOp::Kind::kDelete:
-        TXML_RETURN_IF_ERROR(ApplyDelete(op, &index));
+        TXML_RETURN_IF_ERROR(ApplyDelete(op, index));
         break;
       case EditOp::Kind::kUpdate: {
-        XmlNode* node = index.Find(op.target);
+        XmlNode* node = index->Find(op.target);
         if (node == nullptr) return MissingXid(op.target);
         if (node->value() != op.old_value) {
           return Status::Corruption("update: unexpected current value");
@@ -134,11 +157,11 @@ Status EditScript::ApplyForward(XmlNode* root) const {
         break;
       }
       case EditOp::Kind::kMove:
-        TXML_RETURN_IF_ERROR(ApplyMove(&index, op.target, op.from_parent,
+        TXML_RETURN_IF_ERROR(ApplyMove(index, op.target, op.from_parent,
                                        op.from_pos, op.to_parent, op.to_pos));
         break;
       case EditOp::Kind::kRename: {
-        XmlNode* node = index.Find(op.target);
+        XmlNode* node = index->Find(op.target);
         if (node == nullptr) return MissingXid(op.target);
         if (node->name() != op.old_value) {
           return Status::Corruption("rename: unexpected current name");
@@ -153,7 +176,7 @@ Status EditScript::ApplyForward(XmlNode* root) const {
     // intermediate (vacuumed-away) transition keeps that transition's
     // timestamp, not the merge's commit_ts.
     for (const auto& [xid, new_ts] : forward_stamps_) {
-      XmlNode* node = index.Find(xid);
+      XmlNode* node = index->Find(xid);
       if (node == nullptr) return MissingXid(xid);
       node->set_timestamp(new_ts);
     }
@@ -161,34 +184,34 @@ Status EditScript::ApplyForward(XmlNode* root) const {
   }
   for (const auto& [xid, old_ts] : restamps_) {
     (void)old_ts;
-    XmlNode* node = index.Find(xid);
+    XmlNode* node = index->Find(xid);
     if (node == nullptr) return MissingXid(xid);
     node->set_timestamp(commit_ts_);
   }
   return Status::OK();
 }
 
-Status EditScript::ApplyBackward(XmlNode* root) const {
-  XidIndex index(root);
+Status EditScript::ApplyBackward(XmlNode* root, XidIndex* index) const {
+  TXML_RETURN_IF_ERROR(CheckIndexed(root, *index));
   for (auto it = ops_.rbegin(); it != ops_.rend(); ++it) {
     const EditOp& op = *it;
     switch (op.kind) {
       case EditOp::Kind::kInsert: {
         // Inverse of insert is delete at the same location.
-        XmlNode* parent = index.Find(op.parent);
+        XmlNode* parent = index->Find(op.parent);
         if (parent == nullptr) return MissingXid(op.parent);
         if (op.pos >= parent->child_count() ||
             (op.subtree != nullptr &&
              parent->child(op.pos)->xid() != op.subtree->xid())) {
           return Status::Corruption("undo-insert: node not where expected");
         }
-        index.Remove(parent->child(op.pos));
+        index->Remove(parent->child(op.pos));
         parent->RemoveChild(op.pos);
         break;
       }
       case EditOp::Kind::kDelete: {
         // Inverse of delete is insert of the stored subtree.
-        XmlNode* parent = index.Find(op.parent);
+        XmlNode* parent = index->Find(op.parent);
         if (parent == nullptr) return MissingXid(op.parent);
         if (op.subtree == nullptr) {
           return Status::Corruption("undo-delete: delta not completed");
@@ -197,11 +220,11 @@ Status EditScript::ApplyBackward(XmlNode* root) const {
           return Status::Corruption("undo-delete: position out of range");
         }
         XmlNode* inserted = parent->InsertChild(op.pos, op.subtree->Clone());
-        index.Add(inserted);
+        TXML_RETURN_IF_ERROR(index->Add(inserted));
         break;
       }
       case EditOp::Kind::kUpdate: {
-        XmlNode* node = index.Find(op.target);
+        XmlNode* node = index->Find(op.target);
         if (node == nullptr) return MissingXid(op.target);
         if (node->value() != op.new_value) {
           return Status::Corruption("undo-update: unexpected current value");
@@ -210,12 +233,12 @@ Status EditScript::ApplyBackward(XmlNode* root) const {
         break;
       }
       case EditOp::Kind::kMove:
-        TXML_RETURN_IF_ERROR(ApplyMove(&index, op.target, op.to_parent,
+        TXML_RETURN_IF_ERROR(ApplyMove(index, op.target, op.to_parent,
                                        op.to_pos, op.from_parent,
                                        op.from_pos));
         break;
       case EditOp::Kind::kRename: {
-        XmlNode* node = index.Find(op.target);
+        XmlNode* node = index->Find(op.target);
         if (node == nullptr) return MissingXid(op.target);
         if (node->name() != op.new_value) {
           return Status::Corruption("undo-rename: unexpected current name");
@@ -226,7 +249,7 @@ Status EditScript::ApplyBackward(XmlNode* root) const {
     }
   }
   for (const auto& [xid, old_ts] : restamps_) {
-    XmlNode* node = index.Find(xid);
+    XmlNode* node = index->Find(xid);
     if (node == nullptr) return MissingXid(xid);
     node->set_timestamp(old_ts);
   }

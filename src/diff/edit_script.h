@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -14,6 +15,58 @@
 #include "src/xml/node.h"
 
 namespace txml {
+
+/// XID → node index over one live tree, addressed by XID. XIDs are
+/// document-scoped, never reused and lie in [1, next_xid), so `capacity` is
+/// the document's next_xid() and never grows: a node naming an XID at or
+/// beyond it is Corruption, not a resize.
+///
+/// Lookups go to one dense vector of slots, but its size follows the nodes
+/// being indexed, not `capacity`: next_xid() counts every insert over the
+/// document's life and is read from images received over the wire (re-seed
+/// installs), so it must not decide how much is allocated. The slots cover
+/// the *top* of [0, capacity) — XIDs are allocated in increasing order, so
+/// the live nodes of a long-edited document are mostly recent ones — and
+/// XIDs below them live in a hash map. Memory is O(indexed nodes) whatever
+/// their XIDs and whatever `capacity` says.
+class XidIndex {
+ public:
+  XidIndex() = default;
+  /// An empty index for XIDs below `capacity`, with dense slots for the
+  /// top min(capacity, kDenseFloor + kDensePerNode × expected_nodes) XIDs:
+  /// up to 8 KiB plus 64 bytes per expected node.
+  explicit XidIndex(Xid capacity, size_t expected_nodes = 0);
+
+  static constexpr size_t kDenseFloor = 1024;
+  static constexpr size_t kDensePerNode = 8;
+
+  Xid capacity() const { return capacity_; }
+
+  /// The indexed node with this XID, or null (also for any XID outside
+  /// [0, capacity())).
+  XmlNode* Find(Xid xid) const {
+    // Unsigned: an XID below dense_floor_ wraps past dense_.size().
+    if (xid - dense_floor_ < dense_.size()) return dense_[xid - dense_floor_];
+    if (sparse_.empty()) return nullptr;
+    auto it = sparse_.find(xid);
+    return it == sparse_.end() ? nullptr : it->second;
+  }
+
+  /// Indexes every node of `subtree`. Corruption if one names an XID at or
+  /// beyond capacity(); the nodes visited before it stay indexed, so the
+  /// caller must discard the index (and its tree) on failure.
+  Status Add(XmlNode* subtree);
+
+  /// Unindexes every node of `subtree`.
+  void Remove(const XmlNode* subtree);
+
+ private:
+  Xid capacity_ = 0;
+  /// dense_[i] is the node with XID dense_floor_ + i.
+  Xid dense_floor_ = 0;
+  std::vector<XmlNode*> dense_;
+  std::unordered_map<Xid, XmlNode*> sparse_;
+};
 
 /// One operation of an edit script. Operations address nodes by XID and are
 /// applied *in sequence*: positions refer to the tree state after all
@@ -112,13 +165,16 @@ class EditScript {
   }
 
   /// Applies the script to `root` (version n), producing version n+1 in
-  /// place. Fails with Corruption if an addressed XID is missing or a
-  /// position is out of range.
-  Status ApplyForward(XmlNode* root) const;
+  /// place. `index` must index exactly the nodes of `root`'s tree; it is
+  /// kept current across inserts and deletes. Fails with Corruption if an
+  /// addressed XID is missing or beyond the index's capacity, or a position
+  /// is out of range — after which the tree may be half-edited and the
+  /// index out of step with it, so both must be discarded.
+  Status ApplyForward(XmlNode* root, XidIndex* index) const;
 
   /// Applies the inverse script to `root` (version n+1), producing version
-  /// n in place.
-  Status ApplyBackward(XmlNode* root) const;
+  /// n in place. Same contract as ApplyForward.
+  Status ApplyBackward(XmlNode* root, XidIndex* index) const;
 
   EditScript Clone() const;
 

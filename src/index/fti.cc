@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "src/storage/delta_chain_cursor.h"
 #include "src/util/coding.h"
 #include "src/util/logging.h"
 #include "src/util/strings.h"
@@ -275,14 +276,15 @@ std::unique_ptr<TemporalFullTextIndex> TemporalFullTextIndex::Rebuild(
   for (const VersionedDocument* doc : store.AllDocuments()) {
     // Walk the retained chain only — vacuumed-away versions have no
     // timestamps and no reconstructible content.
-    for (VersionNum v = doc->first_retained();
-         v != 0 && v <= doc->version_count(); v = doc->NextRetained(v)) {
-      auto tree = doc->ReconstructVersion(v);
-      TXML_CHECK(tree.ok());
-      index->OnVersionStored(doc->doc_id(), v,
-                             doc->delta_index().TimestampOf(v), **tree,
-                             nullptr);
-    }
+    Status walked = ForEachRetainedVersion(
+        *doc, [&](const DeltaChainCursor& cursor) {
+          const VersionNum v = cursor.version();
+          index->OnVersionStored(doc->doc_id(), v,
+                                 doc->delta_index().TimestampOf(v),
+                                 cursor.tree(), nullptr);
+          return Status::OK();
+        });
+    TXML_CHECK(walked.ok());
     if (doc->deleted()) {
       index->OnDocumentDeleted(doc->doc_id(), doc->version_count(),
                                doc->delete_time());

@@ -674,14 +674,10 @@ class Execution {
       state.runs = Coalesce(std::move(state.runs));
     }
 
-    TXML_RETURN_IF_ERROR(WalkDocumentVersionsBackward(
+    TXML_RETURN_IF_ERROR(WalkDocumentCursorBackward(
         doc, lo, hi,
-        [&](VersionNum /*v*/, const TimeInterval& validity,
-            const XmlNode& tree) {
+        [&](const TimeInterval& validity, const DeltaChainCursor& cursor) {
           ++stats_->snapshot_reconstructions;
-          // One traversal finds every tracked element in this version.
-          std::unordered_map<Xid, const XmlNode*> found;
-          CollectTracked(tree, elements, &found);
           for (auto& [xid, state] : elements) {
             bool in_run = false;
             for (const TimeInterval& run : state.runs) {
@@ -690,12 +686,12 @@ class Execution {
                 break;
               }
             }
-            auto it = found.find(xid);
-            if (!in_run || it == found.end()) {
+            // The cursor's XID index finds each tracked element in O(1).
+            const XmlNode* element = in_run ? cursor.Find(xid) : nullptr;
+            if (element == nullptr) {
               state.prev_present = false;
               continue;
             }
-            const XmlNode* element = it->second;
             uint64_t hash = SubtreeHash(*element);
             if (state.prev_present && !state.collected.empty() &&
                 hash == state.prev_hash) {
@@ -727,18 +723,6 @@ class Execution {
       }
     }
     return Status::OK();
-  }
-
-  /// Records the tracked elements present in one version's tree.
-  template <typename ElementMap>
-  static void CollectTracked(const XmlNode& node, const ElementMap& tracked,
-                             std::unordered_map<Xid, const XmlNode*>* found) {
-    if (tracked.contains(node.xid())) {
-      found->emplace(node.xid(), &node);
-    }
-    for (const auto& child : node.children()) {
-      CollectTracked(*child, tracked, found);
-    }
   }
 
   /// Reconstruction cache: one materialized tree per (doc, version). The

@@ -11,10 +11,8 @@ namespace {
 
 /// Visits the versions of `doc` whose validity overlaps [t1, t2), most
 /// recent first (Section 7.3.4: the algorithm outputs the history
-/// backwards). The newest needed version is reconstructed once; older
-/// versions are produced by applying one backward delta each — O(range)
-/// delta applications total. The visited tree is transient: callbacks must
-/// clone what they keep.
+/// backwards), as a DeltaChainCursor opened at the newest needed version
+/// and stepped backward — O(range) delta applications total.
 template <typename Fn>
 Status WalkVersionsBackward(const VersionedDocument& doc, Timestamp t1,
                             Timestamp t2, Fn&& visit) {
@@ -31,17 +29,14 @@ Status WalkVersionsBackward(const VersionedDocument& doc, Timestamp t1,
   }
   if (hi == 0 || doc.RetainedValidity(hi).end <= t1) return Status::OK();
 
-  TXML_ASSIGN_OR_RETURN(std::unique_ptr<XmlNode> tree,
-                        doc.ReconstructVersion(hi));
-  for (VersionNum v = hi; v != 0;) {
-    TimeInterval validity = doc.RetainedValidity(v);
+  TXML_ASSIGN_OR_RETURN(DeltaChainCursor cursor,
+                        DeltaChainCursor::Open(doc, hi));
+  for (;;) {
+    TimeInterval validity = doc.RetainedValidity(cursor.version());
     if (validity.end <= t1) break;  // older versions end even earlier
-    visit(v, validity, *tree);
-    VersionNum prev = doc.PrevRetained(v);
-    if (prev == 0) break;
-    TXML_RETURN_IF_ERROR(
-        doc.RetainedTransition(prev).ApplyBackward(tree.get()));
-    v = prev;
+    visit(validity, cursor);
+    if (doc.PrevRetained(cursor.version()) == 0) break;
+    TXML_RETURN_IF_ERROR(cursor.StepBackward());
   }
   return Status::OK();
 }
@@ -52,6 +47,17 @@ Status WalkDocumentVersionsBackward(
     const VersionedDocument& doc, Timestamp t1, Timestamp t2,
     const std::function<void(VersionNum, const TimeInterval&,
                              const XmlNode&)>& visit) {
+  return WalkVersionsBackward(
+      doc, t1, t2,
+      [&](const TimeInterval& validity, const DeltaChainCursor& cursor) {
+        visit(cursor.version(), validity, cursor.tree());
+      });
+}
+
+Status WalkDocumentCursorBackward(
+    const VersionedDocument& doc, Timestamp t1, Timestamp t2,
+    const std::function<void(const TimeInterval&, const DeltaChainCursor&)>&
+        visit) {
   return WalkVersionsBackward(doc, t1, t2, visit);
 }
 
@@ -89,8 +95,9 @@ StatusOr<std::vector<MaterializedVersion>> DocHistory(const QueryContext& ctx,
   }
   std::vector<MaterializedVersion> history;
   TXML_RETURN_IF_ERROR(WalkVersionsBackward(
-      *doc, t1, t2, [&](VersionNum /*v*/, const TimeInterval& validity,
-                        const XmlNode& tree) {
+      *doc, t1, t2,
+      [&](const TimeInterval& validity, const DeltaChainCursor& cursor) {
+        const XmlNode& tree = cursor.tree();
         history.push_back(MaterializedVersion{
             Teid{Eid{doc_id, tree.xid()}, validity.start}, validity,
             tree.Clone()});
@@ -118,10 +125,9 @@ StatusOr<std::vector<MaterializedVersion>> ElementHistory(
   uint64_t previous_hash = 0;
   bool previous_present = false;
   TXML_RETURN_IF_ERROR(WalkVersionsBackward(
-      *doc, t1, t2, [&](VersionNum /*v*/, const TimeInterval& validity,
-                        const XmlNode& tree) {
-        const XmlNode* element =
-            tree.xid() == eid.xid ? &tree : tree.FindByXid(eid.xid);
+      *doc, t1, t2,
+      [&](const TimeInterval& validity, const DeltaChainCursor& cursor) {
+        const XmlNode* element = cursor.Find(eid.xid);
         if (element == nullptr) {
           previous_present = false;
           return;

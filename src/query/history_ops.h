@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "src/query/context.h"
+#include "src/storage/delta_chain_cursor.h"
 #include "src/util/statusor.h"
 #include "src/util/timestamp.h"
 #include "src/xml/ids.h"
@@ -38,18 +39,27 @@ StatusOr<std::vector<MaterializedVersion>> DocHistory(const QueryContext& ctx,
                                                       Timestamp t2);
 
 /// Low-level history walker: visits the versions of `doc` whose validity
-/// overlaps [t1, t2), *most recent first*. The newest needed version is
-/// reconstructed once; older versions are produced by applying one
-/// backward delta each, so a walk over k versions costs k delta
-/// applications total. The visited tree is transient — callbacks must
-/// clone whatever they keep. This is the engine under DocHistory /
-/// ElementHistory and the executor's [EVERY] binding, which shares one
-/// walk across all elements of a document (the paper's future-work goal
-/// of "reducing the number of delta versions that have to be retrieved").
+/// overlaps [t1, t2), *most recent first*. One DeltaChainCursor opens at
+/// the newest needed version; each older version costs one backward delta
+/// against the cursor's persistent XID index, so a walk over k versions
+/// costs k delta applications total. The visited tree is transient —
+/// callbacks must clone whatever they keep. This is the engine under
+/// DocHistory / ElementHistory and the executor's [EVERY] binding, which
+/// shares one walk across all elements of a document (the paper's
+/// future-work goal of "reducing the number of delta versions that have to
+/// be retrieved").
 Status WalkDocumentVersionsBackward(
     const VersionedDocument& doc, Timestamp t1, Timestamp t2,
     const std::function<void(VersionNum, const TimeInterval&,
                              const XmlNode&)>& visit);
+
+/// The same walk, visiting the cursor itself, so callers can look tracked
+/// elements up by XID (DeltaChainCursor::Find) instead of searching each
+/// version's tree.
+Status WalkDocumentCursorBackward(
+    const VersionedDocument& doc, Timestamp t1, Timestamp t2,
+    const std::function<void(const TimeInterval&, const DeltaChainCursor&)>&
+        visit);
 
 /// ElementHistory(EID, t1, t2) — Section 7.3.5: DocHistory filtered to the
 /// subtree rooted at the EID; versions where the element does not exist

@@ -8,8 +8,10 @@
 #include <utility>
 
 #include "src/index/posting.h"
+#include "src/storage/delta_chain_cursor.h"
 #include "src/util/coding.h"
 #include "src/util/logging.h"
+#include "src/util/macros.h"
 
 namespace txml {
 namespace {
@@ -383,12 +385,12 @@ StatusOr<std::vector<ScanMatch>> TPatternScanAllTraversal(
       std::vector<std::vector<Xid>> paths;
     };
     std::map<std::string, PendingRun> open_runs;
-    for (VersionNum v = doc->first_retained();
-         v != 0 && v <= doc->version_count(); v = doc->NextRetained(v)) {
-      auto tree = SnapshotTree(ctx, *doc, v);
-      if (!tree.ok()) return tree.status();
+    // One cursor walks the whole retained chain forward: O(versions)
+    // deltas per document, not a reconstruction per version.
+    auto visit = [&](const DeltaChainCursor& cursor) {
+      const VersionNum v = cursor.version();
       std::unordered_set<std::string> present;
-      for (EmbeddingRow& row : EmbeddingsOf(**tree, pattern)) {
+      for (EmbeddingRow& row : EmbeddingsOf(cursor.tree(), pattern)) {
         present.insert(row.key);
         if (!open_runs.contains(row.key)) {
           open_runs.emplace(std::move(row.key),
@@ -410,7 +412,9 @@ StatusOr<std::vector<ScanMatch>> TPatternScanAllTraversal(
         results.push_back(std::move(match));
         it = open_runs.erase(it);
       }
-    }
+      return Status::OK();
+    };
+    TXML_RETURN_IF_ERROR(ForEachRetainedVersion(*doc, visit));
     // Runs alive through the last retained version: open-ended for live
     // documents, closed just past the last version for deleted ones —
     // matching how OnDocumentDeleted closes postings.

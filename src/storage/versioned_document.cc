@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "src/diff/diff.h"
+#include "src/storage/delta_chain_cursor.h"
 #include "src/util/coding.h"
 #include "src/util/logging.h"
 #include "src/util/macros.h"
@@ -159,74 +160,29 @@ size_t VersionedDocument::RetainedSteps(VersionNum lo, VersionNum hi) const {
   return (coarse_kept_.size() - lo_idx) + (hi - dense_floor_);
 }
 
+VersionedDocument::ChainAnchor VersionedDocument::CheapestAnchor(
+    VersionNum target) const {
+  TXML_DCHECK(IsRetained(target));
+  ChainAnchor anchor{ChainAnchor::kCurrent, version_count(), current_.get()};
+  auto it = snapshots_.lower_bound(target);
+  if (it != snapshots_.end() && it->first < anchor.version) {
+    anchor = {ChainAnchor::kSnapshot, it->first, it->second.get()};
+  }
+  // A vacuumed document also has a complete version at the *bottom* of the
+  // chain: the base snapshot. Walking forward from it when that is cheaper
+  // is what makes old-version reads faster after coarsening.
+  if (base_ != nullptr && RetainedSteps(first_retained_, target) <
+                              RetainedSteps(target, anchor.version)) {
+    anchor = {ChainAnchor::kBase, first_retained_, base_.get()};
+  }
+  return anchor;
+}
+
 StatusOr<std::unique_ptr<XmlNode>> VersionedDocument::ReconstructVersion(
     VersionNum v, ReconstructStats* stats) const {
-  if (v < 1 || v > version_count()) {
-    return Status::OutOfRange("version " + std::to_string(v) +
-                              " out of range [1, " +
-                              std::to_string(version_count()) + "]");
-  }
-  if (v < first_retained_) {
-    return Status::NotFound("version " + std::to_string(v) +
-                            " of document '" + url_ +
-                            "' was vacuumed (first retained version is " +
-                            std::to_string(first_retained_) + ")");
-  }
-  // In the coarse zone a vacuumed-away version resolves to the nearest
-  // retained version at or before it — the content the coarsened history
-  // presents for that version's time range.
-  VersionNum target = SnapToRetained(v);
-
-  // Backward anchor: the nearest complete version at or after the target —
-  // the current version or an intermediate snapshot (Section 7.3.3).
-  VersionNum back_anchor = version_count();
-  bool from_snapshot = false;
-  auto it = snapshots_.lower_bound(target);
-  if (it != snapshots_.end() && it->first < back_anchor) {
-    back_anchor = it->first;
-    from_snapshot = true;
-  }
-  size_t back_cost = RetainedSteps(target, back_anchor);
-
-  // A vacuumed document also has a complete version at the *bottom* of the
-  // chain: the base snapshot. Walk forward from it when that is cheaper —
-  // this is what makes old-version reads faster after coarsening.
-  if (base_ != nullptr &&
-      RetainedSteps(first_retained_, target) < back_cost) {
-    std::unique_ptr<XmlNode> tree = base_->Clone();
-    size_t applied = 0;
-    for (VersionNum at = first_retained_; at < target;
-         at = NextRetained(at)) {
-      TXML_RETURN_IF_ERROR(RetainedTransition(at).ApplyForward(tree.get()));
-      ++applied;
-    }
-    if (stats != nullptr) {
-      stats->deltas_applied = applied;
-      stats->used_snapshot = false;
-      stats->used_base = true;
-      stats->base_version = first_retained_;
-    }
-    return tree;
-  }
-
-  std::unique_ptr<XmlNode> tree =
-      from_snapshot ? it->second->Clone() : current_->Clone();
-
-  // Apply retained transitions backwards down to the target.
-  size_t applied = 0;
-  for (VersionNum at = back_anchor; at > target;) {
-    VersionNum prev = PrevRetained(at);
-    TXML_RETURN_IF_ERROR(RetainedTransition(prev).ApplyBackward(tree.get()));
-    at = prev;
-    ++applied;
-  }
-  if (stats != nullptr) {
-    stats->deltas_applied = applied;
-    stats->used_snapshot = from_snapshot;
-    stats->used_base = false;
-    stats->base_version = back_anchor;
-  }
-  return tree;
+  TXML_ASSIGN_OR_RETURN(DeltaChainCursor cursor,
+                        DeltaChainCursor::Open(*this, v, stats));
+  return cursor.TakeTree();
 }
 
 StatusOr<std::unique_ptr<XmlNode>> VersionedDocument::ReconstructAt(

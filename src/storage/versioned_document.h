@@ -179,10 +179,24 @@ class VersionedDocument {
     VersionNum base_version = 0;
   };
 
+  /// A complete stored version a delta-chain walk can start from.
+  struct ChainAnchor {
+    enum Kind { kCurrent, kSnapshot, kBase };
+    Kind kind = kCurrent;
+    VersionNum version = 0;
+    const XmlNode* tree = nullptr;
+  };
+
+  /// The cheapest complete version to reach retained version `target` from
+  /// (Section 7.3.3): the nearest complete version at or after it — the
+  /// current version or an intermediate snapshot, walked backward — or,
+  /// when fewer retained transitions separate them, the vacuum base below
+  /// it, walked forward. Precondition: IsRetained(target).
+  ChainAnchor CheapestAnchor(VersionNum target) const;
+
   /// Materializes version v (the Reconstruct operator's engine,
-  /// Section 7.3.3): starts from the nearest complete version at or after v
-  /// (the current version or an intermediate snapshot) and applies deltas
-  /// backwards.
+  /// Section 7.3.3): a DeltaChainCursor opened at v from the cheapest
+  /// anchor.
   StatusOr<std::unique_ptr<XmlNode>> ReconstructVersion(
       VersionNum v, ReconstructStats* stats = nullptr) const;
 

@@ -30,6 +30,25 @@ std::unique_ptr<XmlNode> ParseV1(const std::string& text,
   return root;
 }
 
+/// Applies `script` to `root` forward through a fresh XID index over the
+/// tree; `alloc` has handed out every XID the script names.
+Status Forward(const EditScript& script, XmlNode* root,
+               const XidAllocator& alloc) {
+  XidIndex index(alloc.next());
+  Status indexed = index.Add(root);
+  if (!indexed.ok()) return indexed;
+  return script.ApplyForward(root, &index);
+}
+
+/// The backward counterpart of Forward().
+Status Backward(const EditScript& script, XmlNode* root,
+                const XidAllocator& alloc) {
+  XidIndex index(alloc.next());
+  Status indexed = index.Add(root);
+  if (!indexed.ok()) return indexed;
+  return script.ApplyBackward(root, &index);
+}
+
 TEST(MatcherTest, IdenticalTreesFullyMatch) {
   auto a = Parse("<g><r><name>Napoli</name></r></g>");
   auto b = Parse("<g><r><name>Napoli</name></r></g>");
@@ -98,13 +117,13 @@ TEST_P(DiffScriptTest, ForwardAndBackwardRoundTrip) {
 
   // Forward: old + delta == new.
   auto forward = old_root->Clone();
-  ASSERT_TRUE(result->script.ApplyForward(forward.get()).ok());
+  ASSERT_TRUE(Forward(result->script, forward.get(), alloc).ok());
   EXPECT_TRUE(forward->ContentEquals(*new_root))
       << "forward produced " << forward->ToString();
 
   // Backward: new - delta == old (the completed-delta property).
   auto backward = new_root->Clone();
-  ASSERT_TRUE(result->script.ApplyBackward(backward.get()).ok());
+  ASSERT_TRUE(Backward(result->script, backward.get(), alloc).ok());
   EXPECT_TRUE(backward->ContentEquals(*old_copy))
       << "backward produced " << backward->ToString();
 }
@@ -124,7 +143,7 @@ TEST_P(DiffScriptTest, BinaryAndXmlRepresentationsRoundTrip) {
   auto decoded = EditScript::Decode(encoded);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   auto forward = old_root->Clone();
-  ASSERT_TRUE(decoded->ApplyForward(forward.get()).ok());
+  ASSERT_TRUE(Forward(*decoded, forward.get(), alloc).ok());
   EXPECT_TRUE(forward->ContentEquals(*new_root));
 
   // XML round trip (the closure property: deltas are XML documents).
@@ -133,7 +152,7 @@ TEST_P(DiffScriptTest, BinaryAndXmlRepresentationsRoundTrip) {
   auto from_xml = EditScript::FromXml(*as_xml.root());
   ASSERT_TRUE(from_xml.ok()) << from_xml.status().ToString();
   auto forward2 = old_root->Clone();
-  ASSERT_TRUE(from_xml->ApplyForward(forward2.get()).ok());
+  ASSERT_TRUE(Forward(*from_xml, forward2.get(), alloc).ok());
   EXPECT_TRUE(forward2->ContentEquals(*new_root));
 }
 
@@ -278,12 +297,12 @@ TEST(DiffTest, BackwardApplicationRestoresTimestamps) {
   ASSERT_TRUE(result.ok());
 
   auto back = v2->Clone();
-  ASSERT_TRUE(result->script.ApplyBackward(back.get()).ok());
+  ASSERT_TRUE(Backward(result->script, back.get(), alloc).ok());
   EXPECT_EQ(back->timestamp(), t1);
   EXPECT_EQ(back->FindChildElement("r")->timestamp(), t1);
 
   auto fwd = back->Clone();
-  ASSERT_TRUE(result->script.ApplyForward(fwd.get()).ok());
+  ASSERT_TRUE(Forward(result->script, fwd.get(), alloc).ok());
   EXPECT_EQ(fwd->FindChildElement("r")->timestamp(), t2);
 }
 
@@ -295,7 +314,7 @@ TEST(DiffTest, ApplyRejectsCorruptScripts) {
   op.kind = EditOp::Kind::kUpdate;
   op.target = 999;  // no such xid
   script.Add(std::move(op));
-  EXPECT_TRUE(script.ApplyForward(v1.get()).IsCorruption());
+  EXPECT_TRUE(Forward(script, v1.get(), alloc).IsCorruption());
 
   EditScript script2;
   EditOp op2;
@@ -305,7 +324,7 @@ TEST(DiffTest, ApplyRejectsCorruptScripts) {
   op2.subtree = XmlNode::Text("x");
   op2.subtree->set_xid(alloc.Allocate());
   script2.Add(std::move(op2));
-  EXPECT_TRUE(script2.ApplyForward(v1.get()).IsCorruption());
+  EXPECT_TRUE(Forward(script2, v1.get(), alloc).IsCorruption());
 }
 
 TEST(DiffTest, UpdateIntegrityCheck) {
@@ -318,7 +337,7 @@ TEST(DiffTest, UpdateIntegrityCheck) {
   op.old_value = "999";  // does not match current value
   op.new_value = "18";
   script.Add(std::move(op));
-  EXPECT_TRUE(script.ApplyForward(v1.get()).IsCorruption());
+  EXPECT_TRUE(Forward(script, v1.get(), alloc).IsCorruption());
 }
 
 TEST(DiffTest, EmptyDiffForIdenticalVersions) {
@@ -369,11 +388,11 @@ TEST_P(DiffPropertyTest, RandomisedRoundTrip) {
   ASSERT_TRUE(script.ok());
 
   auto forward = old_root->Clone();
-  ASSERT_TRUE(script->ApplyForward(forward.get()).ok());
+  ASSERT_TRUE(Forward(*script, forward.get(), alloc).ok());
   EXPECT_TRUE(forward->ContentEquals(*new_root));
 
   auto backward = new_root->Clone();
-  ASSERT_TRUE(script->ApplyBackward(backward.get()).ok());
+  ASSERT_TRUE(Backward(*script, backward.get(), alloc).ok());
   EXPECT_TRUE(backward->ContentEquals(*old_copy));
 }
 

@@ -202,15 +202,24 @@ struct Follower {
   }
 };
 
-std::unique_ptr<Follower> StartFollower(const std::string& dir,
-                                        uint16_t leader_port,
-                                        const std::string& name,
-                                        bool with_server = true) {
+/// A follower whose durable service has recovered from `dir`, with nothing
+/// started yet.
+std::unique_ptr<Follower> OpenFollower(const std::string& dir) {
   auto follower = std::make_unique<Follower>();
   auto service = TemporalQueryService::Create(DurableOptions(dir));
   EXPECT_TRUE(service.ok()) << service.status().ToString();
   if (!service.ok()) return nullptr;
   follower->service = std::move(*service);
+  return follower;
+}
+
+/// Starts an opened follower's applier and, `with_server`, its read-only
+/// server.
+std::unique_ptr<Follower> StartFollower(std::unique_ptr<Follower> follower,
+                                        uint16_t leader_port,
+                                        const std::string& name,
+                                        bool with_server = true) {
+  if (follower == nullptr) return nullptr;
   follower->applier = std::make_unique<ReplicaApplier>(
       follower->service.get(), FastApplierOptions(leader_port, name));
   Status started = follower->applier->Start();
@@ -228,6 +237,13 @@ std::unique_ptr<Follower> StartFollower(const std::string& dir,
     if (!server_started.ok()) return nullptr;
   }
   return follower;
+}
+
+std::unique_ptr<Follower> StartFollower(const std::string& dir,
+                                        uint16_t leader_port,
+                                        const std::string& name,
+                                        bool with_server = true) {
+  return StartFollower(OpenFollower(dir), leader_port, name, with_server);
 }
 
 /// Polls until the follower's applied floor reaches `sequence` (true) or
@@ -680,11 +696,15 @@ TEST(ReplicationTest, FollowerRestartResumesFromOwnWal) {
   for (int day = 4; day <= 6; ++day) leader->Put(day);
 
   // The restart resumes from its own recovered WAL floor (sequence 3, in
-  // the leader's numbering) — no separate cursor file to lose.
-  auto follower = StartFollower(follower_dir, leader->port(), "f1",
+  // the leader's numbering) — no separate cursor file to lose. The floor is
+  // read before the applier starts: once it runs, it may already have
+  // caught up.
+  auto reopened = OpenFollower(follower_dir);
+  ASSERT_NE(reopened, nullptr);
+  EXPECT_EQ(reopened->service->applied_sequence(), 3u);
+  auto follower = StartFollower(std::move(reopened), leader->port(), "f1",
                                 /*with_server=*/false);
   ASSERT_NE(follower, nullptr);
-  EXPECT_EQ(follower->service->applied_sequence(), 3u);
   ASSERT_TRUE(AwaitSequence(follower->service.get(), 6));
   EXPECT_EQ(AnswersOf(follower->service.get(), 6),
             AnswersOf(leader->service.get(), 6));

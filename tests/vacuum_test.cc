@@ -157,12 +157,19 @@ TEST(MergeEditScriptsTest, ForwardAndBackwardMatchSequentialApplication) {
   std::string v1_bytes = EncodeNodeToString(**v1);
 
   // Forward: v1 + merged == stored current (v6).
-  ASSERT_TRUE(merged.ApplyForward(v1->get()).ok());
+  auto apply = [&](const EditScript& script, XmlNode* root, bool forward) {
+    XidIndex index(doc.next_xid());
+    Status indexed = index.Add(root);
+    if (!indexed.ok()) return indexed;
+    return forward ? script.ApplyForward(root, &index)
+                   : script.ApplyBackward(root, &index);
+  };
+  ASSERT_TRUE(apply(merged, v1->get(), /*forward=*/true).ok());
   EXPECT_EQ(EncodeNodeToString(**v1), EncodeNodeToString(*doc.current()));
 
   // Backward: v6 - merged == v1, original timestamps restored.
   std::unique_ptr<XmlNode> back = doc.current()->Clone();
-  ASSERT_TRUE(merged.ApplyBackward(back.get()).ok());
+  ASSERT_TRUE(apply(merged, back.get(), /*forward=*/false).ok());
   EXPECT_EQ(EncodeNodeToString(*back), v1_bytes);
 
   // The merged script round-trips through the codec (it is what a
@@ -172,7 +179,7 @@ TEST(MergeEditScriptsTest, ForwardAndBackwardMatchSequentialApplication) {
   auto decoded = EditScript::Decode(encoded);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   std::unique_ptr<XmlNode> back2 = doc.current()->Clone();
-  ASSERT_TRUE(decoded->ApplyBackward(back2.get()).ok());
+  ASSERT_TRUE(apply(*decoded, back2.get(), /*forward=*/false).ok());
   EXPECT_EQ(EncodeNodeToString(*back2), v1_bytes);
 }
 

@@ -25,6 +25,13 @@ tier-1 ctest (tests/CMakeLists.txt) and as stage 7 of scripts/check.sh:
                   assert away (NDEBUG), so invariants use TXML_CHECK /
                   TXML_DCHECK / TXML_LOG_FATAL instead. static_assert is
                   fine. Tests may use whatever gtest wants.
+  one-chain-walker
+                  No call to EditScript::ApplyForward( / ApplyBackward(
+                  under src/ outside the DeltaChainCursor's own file
+                  (src/storage/delta_chain_cursor.cc) — every walk of a
+                  delta chain goes through the cursor and its persistent
+                  XID index (DESIGN.md §3), so none pays a whole tree per
+                  delta again.
 
 Usage:
   txml_lint.py [--root REPO_DIR]   lint the tree; exit 1 on any finding
@@ -47,6 +54,8 @@ FRAME_ENUM_RE = re.compile(
 LOCK_DECL_RE = re.compile(
     r"^\s*(?:mutable\s+)?(?:Mutex|SharedMutex)\s+\w+\s*(?:;|\{)")
 ASSERT_RE = re.compile(r"(?<![\w])assert\s*\(")
+CHAIN_APPLY_RE = re.compile(r"(?:\.|->)\s*Apply(?:Forward|Backward)\s*\(")
+CHAIN_WALKER = os.path.join("src", "storage", "delta_chain_cursor.cc")
 
 
 def strip_line_comment(line):
@@ -174,11 +183,32 @@ def check_no_assert(root):
     return findings
 
 
+def check_one_chain_walker(root):
+    """one-chain-walker: only the DeltaChainCursor applies edit scripts."""
+    findings = []
+    for path in iter_source_files(root, "src"):
+        rel = relpath(root, path)
+        if rel == CHAIN_WALKER:
+            continue
+        with open(path, encoding="utf-8") as fp:
+            for lineno, line in enumerate(fp, 1):
+                code = strip_line_comment(line)
+                match = CHAIN_APPLY_RE.search(code)
+                if match:
+                    findings.append(
+                        ("one-chain-walker", rel, lineno,
+                         "edit script applied outside "
+                         f"{CHAIN_WALKER}; walk the delta chain with a "
+                         "DeltaChainCursor (DESIGN.md §3)"))
+    return findings
+
+
 CHECKS = (
     check_raw_primitives,
     check_frame_coverage,
     check_lock_ranks,
     check_no_assert,
+    check_one_chain_walker,
 )
 
 
@@ -232,8 +262,18 @@ def build_tree(root, seeded):
     good = "mutable Mutex mu_{LockRank::kServer};\n"
     bad = ("std::thread worker_;\n"          # raw-primitive
            "Mutex mu_;\n"                    # lock-rank
-           "void F() { assert(true); }\n")   # no-assert
+           "void F() { assert(true); }\n"    # no-assert
+           "Status W(const EditScript& d) {\n"
+           "  return d.ApplyBackward(t, &i);\n"  # one-chain-walker
+           "}\n")
     write(root, "src/core/widget.h", good + (bad if seeded else ""))
+    # The cursor itself applies scripts; declarations and definitions are
+    # not calls.
+    write(root, "src/storage/delta_chain_cursor.cc",
+          "Status S() { return delta.ApplyForward(tree_.get(), &index_); }\n")
+    write(root, "src/diff/edit_script.cc",
+          "Status EditScript::ApplyForward(XmlNode* root,\n"
+          "                                XidIndex* index) const {}\n")
     # Negative-space checks: commented-out primitives never count, and a
     # ctor-supplied rank is accepted via the marker comment.
     write(root, "src/core/ok.cc",
@@ -258,7 +298,7 @@ def self_test():
         findings = run_lint(seeded)
         got_rules = {rule for rule, _, _, _ in findings}
         want_rules = {"raw-primitive", "frame-coverage", "lock-rank",
-                      "no-assert"}
+                      "no-assert", "one-chain-walker"}
         missing = want_rules - got_rules
         if missing:
             print(f"self-test FAILED: rules {sorted(missing)} did not "
