@@ -32,7 +32,10 @@ constexpr size_t kItems = 80;
 constexpr size_t kMutations = 8;
 
 struct Setup {
-  std::unique_ptr<TemporalXmlDatabase> db;  // maintains A and B
+  // B, attached to db before its first put; declared first so db, which
+  // points at it, dies first.
+  std::unique_ptr<DeltaContentIndex> delta_index;
+  std::unique_ptr<TemporalXmlDatabase> db;  // maintains A, feeds B
   std::vector<std::string> hot_words;       // frequent vocabulary words
 };
 
@@ -43,7 +46,8 @@ Setup* Shared() {
     spec.versions = kVersions;
     spec.items = kItems;
     spec.mutations_per_version = kMutations;
-    spec.delta_content_index = true;
+    s.delta_index = std::make_unique<DeltaContentIndex>();
+    spec.observer = s.delta_index.get();
     s.db = BuildHistory(spec);
     // The Zipf head of TDocGen's vocabulary.
     s.hot_words = {"wa0", "wb1", "wc2", "wd3", "we4"};
@@ -84,8 +88,8 @@ void BM_B_SnapshotLookup(benchmark::State& state) {
   size_t hits = 0;
   for (auto _ : state) {
     for (const std::string& word : s->hot_words) {
-      hits = s->db->delta_content_index()
-                 ->LookupSnapshot(TermKind::kWord, word, versions).size();
+      hits = s->delta_index->LookupSnapshot(TermKind::kWord, word, versions)
+                 .size();
       benchmark::DoNotOptimize(hits);
     }
   }
@@ -120,8 +124,7 @@ void BM_B_ChangeLookup(benchmark::State& state) {
     for (const std::string& word : s->hot_words) {
       size_t count = 0;
       for (const auto* event :
-           s->db->delta_content_index()->LookupEvents(TermKind::kWord,
-                                                      word)) {
+           s->delta_index->LookupEvents(TermKind::kWord, word)) {
         if (event->event == DeltaContentIndex::Event::kRemoved) ++count;
       }
       hits = count;
@@ -192,8 +195,8 @@ int main(int argc, char** argv) {
   auto* s = txml::bench::Shared();
   size_t a_postings = s->db->fti().posting_count();
   size_t a_bytes = s->db->fti().EncodedSizeBytes();
-  size_t b_postings = s->db->delta_content_index()->posting_count();
-  size_t b_bytes = s->db->delta_content_index()->EncodedSizeBytes();
+  size_t b_postings = s->delta_index->posting_count();
+  size_t b_bytes = s->delta_index->EncodedSizeBytes();
   PrintRow("E3", "alternative=A(version-content)  postings=" +
                      std::to_string(a_postings) +
                      " encoded_bytes=" + std::to_string(a_bytes));

@@ -29,7 +29,9 @@ struct HistorySpec {
   size_t mutations_per_version = 4;
   uint32_t snapshot_every = 0;
   uint64_t seed = 42;
-  bool delta_content_index = false;
+  /// Extra index attached to the store before the first put (e.g. E3's
+  /// DeltaContentIndex); not owned, must outlive the database.
+  StoreObserver* observer = nullptr;
 };
 
 /// Builds a database holding TDocGen histories per the spec. Document d
@@ -38,8 +40,8 @@ inline std::unique_ptr<TemporalXmlDatabase> BuildHistory(
     const HistorySpec& spec) {
   DatabaseOptions options;
   options.snapshot_every = spec.snapshot_every;
-  options.delta_content_index = spec.delta_content_index;
   auto db = std::make_unique<TemporalXmlDatabase>(options);
+  if (spec.observer != nullptr) db->AddStoreObserver(spec.observer);
   for (size_t d = 0; d < spec.documents; ++d) {
     TDocGenOptions gen_options;
     gen_options.initial_items = spec.items;

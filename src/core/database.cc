@@ -39,10 +39,6 @@ void TemporalXmlDatabase::AttachIndexes(
                                     : std::make_unique<LifetimeIndex>();
     store_->AddObserver(lifetime_.get());
   }
-  if (options_.delta_content_index) {
-    delta_index_ = std::make_unique<DeltaContentIndex>();
-    store_->AddObserver(delta_index_.get());
-  }
   if (!options_.document_time_path.empty()) {
     auto path = PathExpr::Parse(options_.document_time_path);
     if (path.ok()) {
@@ -58,8 +54,7 @@ void TemporalXmlDatabase::AttachIndexes(
 
 void TemporalXmlDatabase::ReplayIntoIndexes(bool include_fti,
                                             bool include_lifetime) {
-  bool needs_versions = include_fti || include_lifetime ||
-                        delta_index_ != nullptr || doctime_ != nullptr;
+  bool needs_versions = include_fti || include_lifetime || doctime_ != nullptr;
   for (const VersionedDocument* doc : store_->AllDocuments()) {
     if (needs_versions) {
       // Replay walks the retained chain forward with one cursor: a
@@ -80,10 +75,6 @@ void TemporalXmlDatabase::ReplayIntoIndexes(bool include_fti,
             if (include_lifetime && lifetime_ != nullptr) {
               lifetime_->OnVersionStored(doc->doc_id(), v, ts, tree, delta);
             }
-            if (delta_index_ != nullptr) {
-              delta_index_->OnVersionStored(doc->doc_id(), v, ts, tree,
-                                            delta);
-            }
             if (doctime_ != nullptr) {
               doctime_->OnVersionStored(doc->doc_id(), v, ts, tree, delta);
             }
@@ -98,11 +89,6 @@ void TemporalXmlDatabase::ReplayIntoIndexes(bool include_fti,
         if (include_lifetime && lifetime_ != nullptr) {
           lifetime_->OnDocumentDeleted(doc->doc_id(), doc->version_count(),
                                        doc->delete_time());
-        }
-        if (delta_index_ != nullptr) {
-          delta_index_->OnDocumentDeleted(doc->doc_id(),
-                                          doc->version_count(),
-                                          doc->delete_time());
         }
       }
     }

@@ -7,7 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/index/delta_fti.h"
 #include "src/index/doctime_index.h"
 #include "src/index/fti.h"
 #include "src/index/lifetime_index.h"
@@ -29,10 +28,6 @@ struct DatabaseOptions {
   /// Maintain the EID lifetime index (Section 7.3.6's auxiliary index).
   /// When off, CREATE TIME / DELETE TIME fall back to delta traversal.
   bool lifetime_index = true;
-  /// Additionally maintain the delta-operation index (alternative B of
-  /// Section 7.2). The version-content FTI (alternative A, the paper's
-  /// choice) is always maintained; enabling this too gives alternative C.
-  bool delta_content_index = false;
   /// When non-empty, maintain a *document time* index (Section 3.1's third
   /// case): the location path to the in-document timestamp, e.g.
   /// "//published". Queried through document_time_index().
@@ -160,9 +155,6 @@ class TemporalXmlDatabase {
   /// OnHistoryVacuumed.
   void CompactFti() { fti_->CompactDifferential(); }
   const LifetimeIndex* lifetime_index() const { return lifetime_.get(); }
-  const DeltaContentIndex* delta_content_index() const {
-    return delta_index_.get();
-  }
   const DocumentTimeIndex* document_time_index() const {
     return doctime_.get();
   }
@@ -183,8 +175,8 @@ class TemporalXmlDatabase {
   /// Persists the repository and the FTI/lifetime indexes to a directory.
   /// Open loads the persisted indexes when they are present and match the
   /// store (checksum fingerprint); otherwise it rebuilds them by replaying
-  /// the stored histories. Optional indexes (delta-content, document-time)
-  /// are always rebuilt by replay when enabled.
+  /// the stored histories. The optional document-time index is always
+  /// rebuilt by replay when enabled.
   Status Save(const std::string& dir) const;
   static StatusOr<std::unique_ptr<TemporalXmlDatabase>> Open(
       const std::string& dir, DatabaseOptions options = {});
@@ -204,7 +196,6 @@ class TemporalXmlDatabase {
   std::unique_ptr<VersionedDocumentStore> store_;
   std::unique_ptr<TemporalFullTextIndex> fti_;
   std::unique_ptr<LifetimeIndex> lifetime_;
-  std::unique_ptr<DeltaContentIndex> delta_index_;
   std::unique_ptr<DocumentTimeIndex> doctime_;
   SnapshotCacheInterface* snapshot_cache_ = nullptr;
   ExecStats last_stats_;

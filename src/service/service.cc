@@ -288,64 +288,34 @@ void TemporalQueryService::UnlockAllShards() {
   for (auto& shard : commit_shards_) shard->mu.Unlock();
 }
 
-void TemporalQueryService::AllocateCommit(
-    WalRecord* record, const std::optional<Timestamp>& explicit_ts,
-    bool draw_ts, CommitSlot* slot) {
-  commits_in_flight_.fetch_add(1, std::memory_order_relaxed);
-  MutexLock lock(ticket_mu_);
-  slot->ticket = ++next_ticket_;
-  if (draw_ts) {
-    if (explicit_ts.has_value()) {
-      slot->ts = *explicit_ts;
-      last_alloc_ts_micros_ =
-          std::max(last_alloc_ts_micros_, explicit_ts->micros());
-    } else {
-      slot->ts = Timestamp::FromMicros(++last_alloc_ts_micros_);
-    }
-  }
-  if (record != nullptr && wal_ != nullptr) {
-    record->sequence = slot->ticket;
-    if (draw_ts) record->ts = slot->ts;
-    slot->logged = true;
-    // Still inside the allocator's critical section: the group-commit
-    // queue receives records in ticket order (AppendBatch requires
-    // ascending sequences; followers rely on it).
-    wal_->Enqueue(*record, &slot->wal_ticket);
-  }
-}
-
-void TemporalQueryService::AllocateCommitRun(
-    std::vector<WalRecord>* records,
-    const std::vector<std::optional<Timestamp>>& explicit_ts,
-    const std::vector<bool>& log_record, std::vector<CommitSlot>* slots) {
-  std::vector<WalRecord> to_log;
+void TemporalQueryService::AllocateCommitRun(std::span<CommitSlot> slots) {
+  std::vector<WalRecord> records;
   std::vector<GroupCommitWal::Ticket*> tickets;
-  to_log.reserve(records->size());
-  tickets.reserve(records->size());
-  commits_in_flight_.fetch_add(records->size(), std::memory_order_relaxed);
+  records.reserve(slots.size());
+  tickets.reserve(slots.size());
+  commits_in_flight_.fetch_add(slots.size(), std::memory_order_relaxed);
   MutexLock lock(ticket_mu_);
-  for (size_t i = 0; i < records->size(); ++i) {
-    CommitSlot& slot = (*slots)[i];
-    WalRecord& record = (*records)[i];
+  for (CommitSlot& slot : slots) {
     slot.ticket = ++next_ticket_;
-    if (explicit_ts[i].has_value()) {
-      slot.ts = *explicit_ts[i];
-      last_alloc_ts_micros_ =
-          std::max(last_alloc_ts_micros_, explicit_ts[i]->micros());
-    } else {
-      slot.ts = Timestamp::FromMicros(++last_alloc_ts_micros_);
+    if (slot.record.type != WalRecordType::kVacuum) {
+      if (slot.explicit_ts.has_value()) {
+        slot.ts = *slot.explicit_ts;
+        last_alloc_ts_micros_ =
+            std::max(last_alloc_ts_micros_, slot.ts.micros());
+      } else {
+        slot.ts = Timestamp::FromMicros(++last_alloc_ts_micros_);
+      }
     }
-    record.sequence = slot.ticket;
-    record.ts = slot.ts;
-    if (wal_ != nullptr && log_record[i]) {
-      slot.logged = true;
-      to_log.push_back(record);
-      tickets.push_back(&slot.wal_ticket);
-    }
+    if (!slot.logged) continue;
+    slot.record.sequence = slot.ticket;
+    slot.record.ts = slot.ts;
+    records.push_back(std::move(slot.record));
+    tickets.push_back(&slot.wal_ticket);
   }
-  // One queue critical section for the whole run: it lands in a single
-  // drain of the log-writer thread, hence shares one batch (one fsync).
-  if (!to_log.empty()) wal_->EnqueueRun(to_log, tickets);
+  // Still inside the allocator's critical section, and one queue critical
+  // section for the whole run: it lands in a single drain of the
+  // log-writer thread, hence shares one batch (one fsync).
+  if (!records.empty()) wal_->EnqueueRun(std::move(records), tickets);
 }
 
 Status TemporalQueryService::WaitDurable(CommitSlot* slot) {
@@ -378,19 +348,6 @@ void TemporalQueryService::FinishTurn(uint64_t last_ticket,
   if (publish_sequence > 0) PublishSequence(publish_sequence);
 }
 
-template <typename ApplyFn>
-Status TemporalQueryService::CommitSlotApply(CommitSlot* slot, ApplyFn apply) {
-  Status durable = WaitDurable(slot);
-  BeginTurn(slot->ticket);
-  // A doomed commit (WAL failure) skips the database apply but still
-  // consumes its turn — every allocated ticket passes the turnstile
-  // exactly once or all later commits deadlock behind the gap.
-  if (durable.ok()) apply();
-  FinishTurn(slot->ticket,
-             durable.ok() && slot->logged ? slot->ticket : 0);
-  return durable;
-}
-
 StatusOr<TemporalXmlDatabase::PreparedPut>
 TemporalQueryService::PrepareUnderStripe(const std::string& url,
                                          std::unique_ptr<XmlNode> tree,
@@ -405,50 +362,175 @@ TemporalQueryService::PrepareUnderStripe(const std::string& url,
   return put;
 }
 
-StatusOr<TemporalQueryService::PutResult> TemporalQueryService::CommitPut(
-    const std::string& url, std::string_view xml_text,
-    const std::optional<Timestamp>& explicit_ts, uint64_t* sequence) {
-  // Parse before taking a ticket: an unparseable put is refused here, so
-  // no doomed record reaches the WAL or the followers.
-  StatusOr<XmlDocument> parsed = ParseXml(xml_text);
-  if (!parsed.ok()) {
-    writes_failed_.fetch_add(1, std::memory_order_relaxed);
-    return parsed.status();
-  }
-  const size_t shard = ShardIndexFor(url);
-  LockShard(shard);
-  WalRecord record;
-  record.type = WalRecordType::kPut;
-  record.url = url;
-  record.payload = std::string(xml_text);
-  CommitSlot slot;
-  AllocateCommit(&record, explicit_ts, /*draw_ts=*/true, &slot);
-  // Diff while the log writer syncs the record; only the publish needs
-  // the exclusive lock.
-  StatusOr<TemporalXmlDatabase::PreparedPut> prepared =
-      PrepareUnderStripe(url, parsed->ReleaseRoot(), slot.ts);
-  StatusOr<PutResult> result = Status::Internal("commit not applied");
-  Status durable = CommitSlotApply(&slot, [&] {
-    if (!prepared.ok()) {
-      result = prepared.status();
-      return;
+StatusOr<TemporalQueryService::RunResult> TemporalQueryService::CommitRun(
+    std::span<const WriteBatchItem> items) {
+  const size_t n = items.size();
+  RunResult result;
+  result.outcomes.assign(n, Status::Internal("commit not applied"));
+
+  // Parse every put before taking tickets: an unparseable item is refused
+  // here, so no doomed record reaches the WAL or the followers. `run`
+  // lists the items that go on, in order.
+  std::vector<std::unique_ptr<XmlNode>> trees(n);
+  std::vector<size_t> run;
+  run.reserve(n);
+  bool has_delete = false;
+  for (size_t i = 0; i < n; ++i) {
+    if (items[i].kind == WriteBatchItem::Kind::kPut) {
+      StatusOr<XmlDocument> parsed = ParseXml(items[i].xml_text);
+      if (!parsed.ok()) {
+        result.outcomes[i] = parsed.status();
+        continue;
+      }
+      trees[i] = parsed->ReleaseRoot();
+    } else {
+      has_delete = true;
     }
-    WriterLock lock(commit_mu_);
-    result = db_->PublishPut(std::move(*prepared));
-  });
-  UnlockShard(shard);
+    run.push_back(i);
+  }
+  // Everything below indexes the run: item run[j] takes slot j.
+  const size_t m = run.size();
+
+  // Hold the union of the run's commit shards, ascending (the
+  // deadlock-freedom rule), for the whole run.
+  std::vector<size_t> shards;
+  shards.reserve(m);
+  for (size_t i : run) shards.push_back(ShardIndexFor(items[i].url));
+  std::sort(shards.begin(), shards.end());
+  shards.erase(std::unique(shards.begin(), shards.end()), shards.end());
+  for (size_t index : shards) LockShard(index);
+
+  std::vector<CommitSlot> slots(m);
+  for (size_t j = 0; j < m; ++j) {
+    const WriteBatchItem& item = items[run[j]];
+    CommitSlot& slot = slots[j];
+    slot.explicit_ts = item.timestamp;
+    slot.logged = wal_ != nullptr;
+    if (!slot.logged) continue;
+    slot.record.url = item.url;
+    if (item.kind == WriteBatchItem::Kind::kDelete) {
+      slot.record.type = WalRecordType::kDelete;
+    } else {
+      slot.record.type = WalRecordType::kPut;
+      slot.record.payload = item.xml_text;
+    }
+  }
+  // Log a delete only when the document will exist when its turn
+  // applies; logging one that fails would just leave a no-op record in
+  // every future replay. Tracked through the run's own earlier items,
+  // since a put at item 3 resurrects the document a delete at item 5 then
+  // really deletes (and must log, or replay would diverge). The
+  // prediction errs toward logging: a doomed record replays as the same
+  // no-op it was on the leader. The shards pin these documents (only a
+  // same-shard writer could change them), so the shared side suffices —
+  // and a run without deletes skips the peek, so a put takes no commit
+  // lock before its ticket.
+  if (has_delete && wal_ != nullptr) {
+    std::unordered_map<std::string_view, bool> exists;
+    ReaderLock lock(commit_mu_);
+    for (size_t j = 0; j < m; ++j) {
+      const WriteBatchItem& item = items[run[j]];
+      auto it = exists.find(item.url);
+      if (it == exists.end()) {
+        const VersionedDocument* doc = db_->store().FindByUrl(item.url);
+        it = exists.emplace(item.url, doc != nullptr && !doc->deleted())
+                 .first;
+      }
+      if (item.kind == WriteBatchItem::Kind::kDelete) {
+        slots[j].logged = it->second;
+        it->second = false;
+      } else {
+        it->second = true;
+      }
+    }
+  }
+  AllocateCommitRun(slots);
+
+  // Prepare while the log writer syncs the run. An item whose URL an
+  // earlier item of the run already wrote builds on that item's result,
+  // so it keeps its tree and is prepared inside the turn instead.
+  std::vector<StatusOr<TemporalXmlDatabase::PreparedPut>> prepared;
+  prepared.reserve(m);
+  std::unordered_set<std::string_view> seen;
+  for (size_t j = 0; j < m; ++j) {
+    const size_t i = run[j];
+    const WriteBatchItem& item = items[i];
+    const bool first_write = seen.insert(item.url).second;
+    if (item.kind == WriteBatchItem::Kind::kPut && first_write) {
+      prepared.push_back(
+          PrepareUnderStripe(item.url, std::move(trees[i]), slots[j].ts));
+    } else {
+      prepared.push_back(Status::Internal("put not prepared"));
+    }
+  }
+
+  // One durability wait covers the run: every logged record shares a
+  // single drain, so the waits resolve together (one fsync in kAlways).
+  Status durable = Status::OK();
+  for (CommitSlot& slot : slots) {
+    Status status = WaitDurable(&slot);
+    if (durable.ok() && !status.ok()) durable = status;
+  }
+
+  // A doomed run (WAL failure) skips the database apply but still
+  // consumes its turn — every allocated ticket passes the turnstile
+  // exactly once or all later commits deadlock behind the gap.
+  if (m > 0) BeginTurn(slots.front().ticket);
+  if (durable.ok()) {
+    // Each item publishes in its own exclusive section, so readers may run
+    // between items — they see a prefix of the run, exactly as they would
+    // between N sequential Puts.
+    for (size_t j = 0; j < m; ++j) {
+      const size_t i = run[j];
+      const WriteBatchItem& item = items[i];
+      if (item.kind == WriteBatchItem::Kind::kDelete) {
+        WriterLock lock(commit_mu_);
+        Status deleted = db_->DeleteDocumentAt(item.url, slots[j].ts);
+        if (deleted.ok()) {
+          result.outcomes[i] = PutResult{.commit_ts = slots[j].ts};
+        } else {
+          result.outcomes[i] = std::move(deleted);
+        }
+        continue;
+      }
+      if (trees[i] != nullptr) {
+        prepared[j] =
+            PrepareUnderStripe(item.url, std::move(trees[i]), slots[j].ts);
+      }
+      if (!prepared[j].ok()) {
+        result.outcomes[i] = prepared[j].status();
+        continue;
+      }
+      WriterLock lock(commit_mu_);
+      result.outcomes[i] = db_->PublishPut(std::move(*prepared[j]));
+    }
+    for (const CommitSlot& slot : slots) {
+      if (slot.logged) result.sequence = slot.ticket;
+    }
+  }
+  if (m > 0) FinishTurn(slots.back().ticket, result.sequence);
+  for (size_t index : shards) UnlockShard(index);
+
   if (!durable.ok()) {
-    writes_failed_.fetch_add(1, std::memory_order_relaxed);
+    writes_failed_.fetch_add(n, std::memory_order_relaxed);
     return durable;
   }
-  if (sequence != nullptr) *sequence = slot.logged ? slot.ticket : 0;
-  (result.ok() ? writes_committed_ : writes_failed_)
-      .fetch_add(1, std::memory_order_relaxed);
-  if (result.ok()) {
-    MaybeCheckpoint();
-    MaybeCompactFti();
-  }
+  result.committed =
+      std::count_if(result.outcomes.begin(), result.outcomes.end(),
+                    [](const StatusOr<PutResult>& o) { return o.ok(); });
+  writes_committed_.fetch_add(result.committed, std::memory_order_relaxed);
+  writes_failed_.fetch_add(n - result.committed, std::memory_order_relaxed);
   return result;
+}
+
+StatusOr<TemporalQueryService::PutResult> TemporalQueryService::CommitOne(
+    const WriteBatchItem& item, uint64_t* sequence) {
+  TXML_ASSIGN_OR_RETURN(RunResult run, CommitRun({&item, 1}));
+  if (!run.outcomes[0].ok()) return run.outcomes[0].status();
+  if (sequence != nullptr) *sequence = run.sequence;
+  MaybeCheckpoint();
+  MaybeCompactFti();
+  return std::move(run.outcomes[0]);
 }
 
 // ---- the request/response API ----
@@ -498,13 +580,16 @@ StatusOr<QueryResponse> TemporalQueryService::Execute(
 StatusOr<QueryResponse> TemporalQueryService::Execute(
     const PutRequest& request) {
   uint64_t sequence = 0;
-  auto result =
-      CommitPut(request.url, request.xml_text, request.timestamp, &sequence);
-  if (!result.ok()) return result.status();
+  TXML_ASSIGN_OR_RETURN(
+      PutResult result,
+      CommitOne({.url = request.url,
+                 .xml_text = request.xml_text,
+                 .timestamp = request.timestamp},
+                &sequence));
   QueryResponse response;
   response.payload = "<put-result url=\"" + EscapeXml(request.url) +
-                     "\" version=\"" + std::to_string(result->version) +
-                     "\" commit=\"" + result->commit_ts.ToString() + "\"/>";
+                     "\" version=\"" + std::to_string(result.version) +
+                     "\" commit=\"" + result.commit_ts.ToString() + "\"/>";
   response.sequence = sequence;
   return response;
 }
@@ -519,188 +604,35 @@ StatusOr<QueryResponse> TemporalQueryService::Execute(
         "write batch has " + std::to_string(request.items.size()) +
         " items (max " + std::to_string(kMaxWriteBatchItems) + ")");
   }
-  const size_t n = request.items.size();
-
-  struct ItemOutcome {
-    Status status;
-    uint64_t version = 0;
-    Timestamp commit_ts;
-  };
-  std::vector<ItemOutcome> outcomes(n);
-
-  // Parse every put before taking tickets: an unparseable item is refused
-  // here with the status a sequential Put returns, and takes no ticket and
-  // no WAL record. `run` lists the items that go on, in request order.
-  std::vector<std::unique_ptr<XmlNode>> trees(n);
-  std::vector<size_t> run;
-  run.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    const WriteBatchItem& item = request.items[i];
-    if (item.kind == WriteBatchItem::Kind::kPut) {
-      StatusOr<XmlDocument> parsed = ParseXml(item.xml_text);
-      if (!parsed.ok()) {
-        outcomes[i].status = parsed.status();
-        continue;
-      }
-      trees[i] = parsed->ReleaseRoot();
-    }
-    run.push_back(i);
-  }
-  // Everything below indexes the run: item run[j] takes slot j.
-  const size_t m = run.size();
-
-  // Hold the union of the run's commit shards, ascending (the
-  // deadlock-freedom rule), for the whole run.
-  std::vector<size_t> shards;
-  shards.reserve(m);
-  for (size_t i : run) shards.push_back(ShardIndexFor(request.items[i].url));
-  std::sort(shards.begin(), shards.end());
-  shards.erase(std::unique(shards.begin(), shards.end()), shards.end());
-  for (size_t index : shards) LockShard(index);
-
-  // Decide which items to log. Puts always; a delete only when the
-  // document will exist when its turn applies — tracked through the
-  // run's own earlier items, since a put at item 3 resurrects the
-  // document a delete at item 5 then really deletes (and must log, or
-  // replay would diverge). The prediction errs toward logging: a doomed
-  // record replays as the same no-op it was on the leader.
-  std::vector<bool> log_item(m, true);
-  {
-    std::unordered_map<std::string, bool> exists;
-    ReaderLock lock(commit_mu_);
-    for (size_t j = 0; j < m; ++j) {
-      const WriteBatchItem& item = request.items[run[j]];
-      auto it = exists.find(item.url);
-      if (it == exists.end()) {
-        const VersionedDocument* doc = db_->store().FindByUrl(item.url);
-        it = exists.emplace(item.url, doc != nullptr && !doc->deleted())
-                 .first;
-      }
-      if (item.kind == WriteBatchItem::Kind::kDelete) {
-        log_item[j] = it->second;
-        it->second = false;
-      } else {
-        it->second = true;
-      }
-    }
-  }
-
-  std::vector<WalRecord> records(m);
-  std::vector<std::optional<Timestamp>> explicit_ts(m);
-  for (size_t j = 0; j < m; ++j) {
-    const WriteBatchItem& item = request.items[run[j]];
-    records[j].type = item.kind == WriteBatchItem::Kind::kDelete
-                          ? WalRecordType::kDelete
-                          : WalRecordType::kPut;
-    records[j].url = item.url;
-    if (item.kind == WriteBatchItem::Kind::kPut) {
-      records[j].payload = item.xml_text;
-    }
-    explicit_ts[j] = item.timestamp;
-  }
-  std::vector<CommitSlot> slots(m);
-  AllocateCommitRun(&records, explicit_ts, log_item, &slots);
-
-  // Prepare while the log writer syncs the run. An item whose URL an
-  // earlier item of the run already wrote builds on that item's result,
-  // so it keeps its tree and is prepared inside the turn instead.
-  std::vector<StatusOr<TemporalXmlDatabase::PreparedPut>> prepared;
-  prepared.reserve(m);
-  std::unordered_set<std::string_view> seen;
-  for (size_t j = 0; j < m; ++j) {
-    const size_t i = run[j];
-    const WriteBatchItem& item = request.items[i];
-    const bool first_write = seen.insert(item.url).second;
-    if (item.kind == WriteBatchItem::Kind::kPut && first_write) {
-      prepared.push_back(
-          PrepareUnderStripe(item.url, std::move(trees[i]), slots[j].ts));
-    } else {
-      prepared.push_back(Status::Internal("put not prepared"));
-    }
-  }
-
-  // One durability wait covers the run: every logged record shares a
-  // single drain, so the waits resolve together (one fsync in kAlways).
-  Status durable = Status::OK();
-  for (size_t j = 0; j < m; ++j) {
-    Status status = WaitDurable(&slots[j]);
-    if (durable.ok() && !status.ok()) durable = status;
-  }
-
-  uint64_t publish = 0;
-  if (!slots.empty()) BeginTurn(slots.front().ticket);
-  if (durable.ok()) {
-    // Each item publishes in its own exclusive section, so readers may run
-    // between items — they see a prefix of the run, exactly as they would
-    // between N sequential Puts.
-    for (size_t j = 0; j < m; ++j) {
-      const size_t i = run[j];
-      const WriteBatchItem& item = request.items[i];
-      ItemOutcome& outcome = outcomes[i];
-      if (item.kind == WriteBatchItem::Kind::kDelete) {
-        WriterLock lock(commit_mu_);
-        outcome.status = db_->DeleteDocumentAt(item.url, slots[j].ts);
-        outcome.commit_ts = slots[j].ts;
-        continue;
-      }
-      if (trees[i] != nullptr) {
-        prepared[j] =
-            PrepareUnderStripe(item.url, std::move(trees[i]), slots[j].ts);
-      }
-      if (!prepared[j].ok()) {
-        outcome.status = prepared[j].status();
-        continue;
-      }
-      WriterLock lock(commit_mu_);
-      PutResult result = db_->PublishPut(std::move(*prepared[j]));
-      outcome.version = result.version;
-      outcome.commit_ts = result.commit_ts;
-    }
-    for (size_t j = 0; j < m; ++j) {
-      if (slots[j].logged) publish = slots[j].ticket;
-    }
-  }
-  if (!slots.empty()) FinishTurn(slots.back().ticket, publish);
-  for (size_t index : shards) UnlockShard(index);
-
-  if (!durable.ok()) {
-    writes_failed_.fetch_add(n, std::memory_order_relaxed);
-    return durable;
-  }
-  uint64_t committed = 0;
-  for (const ItemOutcome& outcome : outcomes) {
-    if (outcome.status.ok()) ++committed;
-  }
-  writes_committed_.fetch_add(committed, std::memory_order_relaxed);
-  writes_failed_.fetch_add(n - committed, std::memory_order_relaxed);
+  TXML_ASSIGN_OR_RETURN(RunResult run, CommitRun(request.items));
   write_batches_committed_.fetch_add(1, std::memory_order_relaxed);
-
+  const size_t n = request.items.size();
   std::string payload =
       "<write-batch-result items=\"" + std::to_string(n) + "\" committed=\"" +
-      std::to_string(committed) + "\" failed=\"" +
-      std::to_string(n - committed) + "\" sequence=\"" +
-      std::to_string(publish) + "\">";
+      std::to_string(run.committed) + "\" failed=\"" +
+      std::to_string(n - run.committed) + "\" sequence=\"" +
+      std::to_string(run.sequence) + "\">";
   for (size_t i = 0; i < n; ++i) {
     const WriteBatchItem& item = request.items[i];
-    const ItemOutcome& outcome = outcomes[i];
+    const StatusOr<PutResult>& outcome = run.outcomes[i];
     payload += "<item url=\"" + EscapeXml(item.url) + "\" action=\"";
     payload += item.kind == WriteBatchItem::Kind::kDelete ? "delete" : "put";
-    if (outcome.status.ok()) {
+    if (outcome.ok()) {
       payload += "\" status=\"ok\"";
       if (item.kind == WriteBatchItem::Kind::kPut) {
-        payload += " version=\"" + std::to_string(outcome.version) + "\"";
+        payload += " version=\"" + std::to_string(outcome->version) + "\"";
       }
-      payload += " commit=\"" + outcome.commit_ts.ToString() + "\"/>";
+      payload += " commit=\"" + outcome->commit_ts.ToString() + "\"/>";
     } else {
       payload += "\" status=\"error\" message=\"" +
-                 EscapeXml(outcome.status.ToString()) + "\"/>";
+                 EscapeXml(outcome.status().ToString()) + "\"/>";
     }
   }
   payload += "</write-batch-result>";
 
   QueryResponse response;
   response.payload = std::move(payload);
-  response.sequence = publish;
+  response.sequence = run.sequence;
   MaybeCheckpoint();
   MaybeCompactFti();
   return response;
@@ -738,16 +670,21 @@ StatusOr<VacuumStats> TemporalQueryService::Vacuum(
     return valid;
   }
   LockAllShards();
-  WalRecord record;
-  record.type = WalRecordType::kVacuum;
-  record.policy = policy;
   CommitSlot slot;
-  AllocateCommit(&record, std::nullopt, /*draw_ts=*/false, &slot);
+  slot.record.type = WalRecordType::kVacuum;
+  slot.record.policy = policy;
+  slot.logged = wal_ != nullptr;
+  AllocateCommitRun({&slot, 1});
+  Status durable = WaitDurable(&slot);
+  BeginTurn(slot.ticket);
+  // A doomed vacuum (WAL failure) skips the apply but still consumes its
+  // turn, like a doomed commit run.
   StatusOr<VacuumStats> stats = Status::Internal("commit not applied");
-  Status durable = CommitSlotApply(&slot, [&] {
+  if (durable.ok()) {
     WriterLock lock(commit_mu_);
     stats = db_->Vacuum(policy);
-  });
+  }
+  FinishTurn(slot.ticket, durable.ok() && slot.logged ? slot.ticket : 0);
   if (!durable.ok()) {
     UnlockAllShards();
     writes_failed_.fetch_add(1, std::memory_order_relaxed);
@@ -797,51 +734,18 @@ std::future<StatusOr<QueryResponse>> TemporalQueryService::Submit(
 
 StatusOr<TemporalQueryService::PutResult> TemporalQueryService::Put(
     const std::string& url, std::string_view xml_text) {
-  return CommitPut(url, xml_text, std::nullopt, nullptr);
+  return CommitOne({.url = url, .xml_text = std::string(xml_text)});
 }
 
 StatusOr<TemporalQueryService::PutResult> TemporalQueryService::PutAt(
     const std::string& url, std::string_view xml_text, Timestamp ts) {
-  return CommitPut(url, xml_text, ts, nullptr);
+  return CommitOne(
+      {.url = url, .xml_text = std::string(xml_text), .timestamp = ts});
 }
 
 Status TemporalQueryService::Delete(const std::string& url) {
-  const size_t shard = ShardIndexFor(url);
-  LockShard(shard);
-  // Only log deletes that will apply: a delete of a missing or
-  // already-deleted document fails below without touching state, and
-  // logging it would just leave a no-op record in every future replay.
-  // The shard lock pins this document's state (only a same-shard writer
-  // could change it), so the shared side suffices for the peek.
-  bool will_apply;
-  {
-    ReaderLock lock(commit_mu_);
-    const VersionedDocument* doc = db_->store().FindByUrl(url);
-    will_apply = doc != nullptr && !doc->deleted();
-  }
-  WalRecord record;
-  record.type = WalRecordType::kDelete;
-  record.url = url;
-  CommitSlot slot;
-  AllocateCommit(will_apply ? &record : nullptr, std::nullopt,
-                 /*draw_ts=*/true, &slot);
-  Status status = Status::Internal("commit not applied");
-  Status durable = CommitSlotApply(&slot, [&] {
-    WriterLock lock(commit_mu_);
-    status = db_->DeleteDocumentAt(url, slot.ts);
-  });
-  UnlockShard(shard);
-  if (!durable.ok()) {
-    writes_failed_.fetch_add(1, std::memory_order_relaxed);
-    return durable;
-  }
-  (status.ok() ? writes_committed_ : writes_failed_)
-      .fetch_add(1, std::memory_order_relaxed);
-  if (status.ok()) {
-    MaybeCheckpoint();
-    MaybeCompactFti();
-  }
-  return status;
+  return CommitOne({.kind = WriteBatchItem::Kind::kDelete, .url = url})
+      .status();
 }
 
 void TemporalQueryService::PublishSequence(uint64_t sequence) const {

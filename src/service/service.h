@@ -5,6 +5,7 @@
 #include <future>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -182,8 +183,8 @@ class TemporalQueryService {
   std::future<StatusOr<QueryResponse>> Submit(WriteBatchRequest request);
   std::future<StatusOr<QueryResponse>> Submit(VacuumRequest request);
 
-  /// Typed writes (commit shard of the URL). Put/PutAt are the typed
-  /// equivalents of Execute(PutRequest).
+  /// Typed writes (commit shard of the URL), each a commit run of one
+  /// item. Put/PutAt are the typed equivalents of Execute(PutRequest).
   StatusOr<PutResult> Put(const std::string& url, std::string_view xml_text)
       EXCLUDES(commit_mu_);
   StatusOr<PutResult> PutAt(const std::string& url, std::string_view xml_text,
@@ -318,16 +319,30 @@ class TemporalQueryService {
     std::atomic<uint64_t> waits{0};
   };
 
-  /// One allocated commit: the global ticket (== WAL sequence when the
-  /// commit was logged), the commit timestamp drawn with it, and the
-  /// pending group-commit submission to wait on.
+  /// One commit of a run as the allocator sees it. In: the WAL record
+  /// to log (type, url, payload or policy), the caller's explicit
+  /// timestamp, and whether to log at all (`logged` false for in-memory
+  /// services and for deletes that will not apply — the slot still takes
+  /// its ticket). Out: the global ticket (== WAL sequence when logged),
+  /// the commit timestamp drawn with it, and the pending group-commit
+  /// submission to wait on.
   struct CommitSlot {
+    WalRecord record;
+    std::optional<Timestamp> explicit_ts;
+    bool logged = false;
     uint64_t ticket = 0;
     Timestamp ts;
-    /// A WAL record was enqueued for this slot (durable services; false
-    /// for in-memory commits and elided deletes).
-    bool logged = false;
     GroupCommitWal::Ticket wal_ticket;
+  };
+
+  /// What a commit run produced: one outcome per item (a delete's carries
+  /// only its commit time), how many of them succeeded, and the run's last
+  /// logged sequence, published once the run applied (0 when nothing was
+  /// logged).
+  struct RunResult {
+    std::vector<StatusOr<PutResult>> outcomes;
+    size_t committed = 0;
+    uint64_t sequence = 0;
   };
 
   /// Create(ServiceOptions) with a data_dir: startup recovery
@@ -345,28 +360,17 @@ class TemporalQueryService {
   void LockAllShards() NO_THREAD_SAFETY_ANALYSIS;
   void UnlockAllShards() NO_THREAD_SAFETY_ANALYSIS;
 
-  /// Draws the next ticket + commit timestamp under ticket_mu_ and, when
-  /// `record` is non-null and the service is durable, stamps the record
-  /// (sequence = ticket, ts = the drawn timestamp) and enqueues it on the
-  /// group-commit queue in the same critical section — the queue is
-  /// therefore in ticket order, which AppendBatch requires and followers
-  /// rely on. With `explicit_ts` the caller's timestamp is used and the
-  /// allocator advanced past it (mirroring CommitClock::AdvanceTo).
-  /// `draw_ts` false skips timestamp accounting (vacuum records carry no
-  /// timestamp). The caller must already hold the commit shard(s) of
-  /// every document the slot touches.
-  void AllocateCommit(WalRecord* record,
-                      const std::optional<Timestamp>& explicit_ts,
-                      bool draw_ts, CommitSlot* slot) EXCLUDES(ticket_mu_);
-  /// The batch variant: consecutive tickets, one queue critical section
-  /// (so the run shares a group-commit batch, hence at most one fsync).
-  /// `log_record[i]` false elides item i from the log (deletes of
-  /// documents that don't exist) while still consuming its ticket.
-  void AllocateCommitRun(std::vector<WalRecord>* records,
-                         const std::vector<std::optional<Timestamp>>&
-                             explicit_ts,
-                         const std::vector<bool>& log_record,
-                         std::vector<CommitSlot>* slots) EXCLUDES(ticket_mu_);
+  /// Draws consecutive tickets and commit timestamps for `slots` under
+  /// ticket_mu_ and, on durable services, stamps each logged slot's
+  /// record (sequence = ticket, ts = the drawn timestamp) and moves it
+  /// onto the group-commit queue in the same critical section — the queue
+  /// is therefore in ticket order, which AppendBatch requires and
+  /// followers rely on, and the run shares one drain (at most one fsync).
+  /// An explicit timestamp is used as is and advances the allocator past
+  /// it (mirroring CommitClock::AdvanceTo). A vacuum slot takes a ticket
+  /// but no timestamp (its record carries none). The caller must already
+  /// hold the commit shard(s) of every document the slots touch.
+  void AllocateCommitRun(std::span<CommitSlot> slots) EXCLUDES(ticket_mu_);
 
   /// Blocks until the slot's WAL record is acknowledged per the sync
   /// policy (no-op for unlogged slots). A failure dooms the commit: the
@@ -386,11 +390,6 @@ class TemporalQueryService {
   void FinishTurn(uint64_t last_ticket, uint64_t publish_sequence)
       EXCLUDES(turn_mu_);
 
-  /// WaitDurable + BeginTurn + apply-or-skip + FinishTurn for a single
-  /// put/delete slot. `apply` runs under the exclusive commit lock.
-  template <typename ApplyFn>
-  Status CommitSlotApply(CommitSlot* slot, ApplyFn apply);
-
   /// Resolves (shared commit lock) and prepares (no commit lock) a put of
   /// `tree` at `ts`. The caller holds the document's commit stripe, which
   /// keeps the document still until its publish (DESIGN.md §12). Analysis
@@ -400,11 +399,22 @@ class TemporalQueryService {
       const std::string& url, std::unique_ptr<XmlNode> tree, Timestamp ts)
       NO_THREAD_SAFETY_ANALYSIS;
 
-  /// Shared implementation of Put/PutAt/Execute(PutRequest).
-  StatusOr<PutResult> CommitPut(const std::string& url,
-                                std::string_view xml_text,
-                                const std::optional<Timestamp>& explicit_ts,
-                                uint64_t* sequence) EXCLUDES(commit_mu_);
+  /// The one local commit path (DESIGN.md §12): parses every put, then
+  /// commits the parsed items as one run holding the union of their
+  /// commit shards — consecutive tickets, one group-commit submission,
+  /// one turn in which each item publishes in its own exclusive section.
+  /// An unparseable put takes no ticket and no WAL record; a delete of a
+  /// document that will not exist at its turn takes a ticket but no
+  /// record. Items succeed or fail independently; a WAL failure fails the
+  /// whole run. Counts every item into writes_committed/writes_failed.
+  StatusOr<RunResult> CommitRun(std::span<const WriteBatchItem> items)
+      EXCLUDES(commit_mu_);
+  /// A run of one (Put, PutAt, Execute(PutRequest), Delete): the item's
+  /// own status, the post-commit triggers when it committed, and the
+  /// published sequence through `sequence` when non-null.
+  StatusOr<PutResult> CommitOne(const WriteBatchItem& item,
+                                uint64_t* sequence = nullptr)
+      EXCLUDES(commit_mu_);
 
   /// Advances the published commit floor and wakes WaitForSequence.
   void PublishSequence(uint64_t sequence) const;
@@ -458,7 +468,7 @@ class TemporalQueryService {
   std::vector<std::unique_ptr<CommitShard>> commit_shards_;
 
   /// The global commit allocator: one lock hands out ticket + timestamp
-  /// and orders the group-commit queue (see AllocateCommit).
+  /// and orders the group-commit queue (see AllocateCommitRun).
   mutable Mutex ticket_mu_{LockRank::kTicket};
   /// Last ticket handed out; tickets are contiguous (every one passes the
   /// turnstile). Equals the WAL sequence space on durable services.

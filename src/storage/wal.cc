@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <iterator>
 #include <utility>
 
 #include <fcntl.h>
@@ -278,25 +279,7 @@ StatusOr<uint64_t> WriteAheadLog::Append(const WalRecord& record) {
         "wal '" + path_ +
         "' is poisoned after a failed sync/rollback; restart to recover");
   }
-  return AppendWithSequence(record, last_sequence_ + 1);
-}
-
-StatusOr<uint64_t> WriteAheadLog::AppendReplicated(const WalRecord& record) {
-  if (poisoned_) {
-    return Status::Unavailable(
-        "wal '" + path_ +
-        "' is poisoned after a failed sync/rollback; restart to recover");
-  }
-  if (record.sequence <= last_sequence_) {
-    return Status::InvalidArgument(
-        "replicated record sequence " + std::to_string(record.sequence) +
-        " does not advance past " + std::to_string(last_sequence_));
-  }
-  return AppendWithSequence(record, record.sequence);
-}
-
-StatusOr<uint64_t> WriteAheadLog::AppendWithSequence(const WalRecord& record,
-                                                     uint64_t sequence) {
+  const uint64_t sequence = last_sequence_ + 1;
   std::string body = EncodeWalRecordBody(record, sequence);
   std::string framed;
   PutVarint64(&framed, body.size());
@@ -499,7 +482,7 @@ GroupCommitWal::~GroupCommitWal() {
   writer_.Join();
 }
 
-void GroupCommitWal::EnqueueLocked(const WalRecord& record, Ticket* ticket) {
+void GroupCommitWal::EnqueueLocked(WalRecord record, Ticket* ticket) {
   if (stopping_) {
     ticket->result_ = Status::Unavailable("group-commit wal is shutting down");
     ticket->done_ = true;
@@ -519,20 +502,14 @@ void GroupCommitWal::EnqueueLocked(const WalRecord& record, Ticket* ticket) {
     return;
   }
   submitted_watermark_ = record.sequence;
-  queue_.push_back(Pending{record, ticket});
+  queue_.push_back(Pending{std::move(record), ticket});
 }
 
-void GroupCommitWal::Enqueue(const WalRecord& record, Ticket* ticket) {
-  MutexLock lock(mu_);
-  EnqueueLocked(record, ticket);
-  SignalWriterLocked();
-}
-
-void GroupCommitWal::EnqueueRun(const std::vector<WalRecord>& records,
+void GroupCommitWal::EnqueueRun(std::vector<WalRecord> records,
                                 const std::vector<Ticket*>& tickets) {
   MutexLock lock(mu_);
   for (size_t i = 0; i < records.size(); ++i) {
-    EnqueueLocked(records[i], tickets[i]);
+    EnqueueLocked(std::move(records[i]), tickets[i]);
   }
   SignalWriterLocked();
 }
@@ -558,7 +535,11 @@ Status GroupCommitWal::Wait(Ticket* ticket) {
 
 Status GroupCommitWal::Append(const WalRecord& record) {
   Ticket ticket;
-  Enqueue(record, &ticket);
+  {
+    MutexLock lock(mu_);
+    EnqueueLocked(record, &ticket);
+    SignalWriterLocked();
+  }
   return Wait(&ticket);
 }
 
@@ -631,7 +612,8 @@ void GroupCommitWal::WriterLoop() {
         }
         forming_ = false;
       }
-      batch.assign(queue_.begin(), queue_.end());
+      batch.assign(std::make_move_iterator(queue_.begin()),
+                   std::make_move_iterator(queue_.end()));
       queue_.clear();
       if (stopping_) {
         // Drain-on-shutdown: nothing may be written anymore; fail the
@@ -649,7 +631,9 @@ void GroupCommitWal::WriterLoop() {
 
     std::vector<WalRecord> records;
     records.reserve(batch.size());
-    for (Pending& pending : batch) records.push_back(pending.record);
+    for (Pending& pending : batch) {
+      records.push_back(std::move(pending.record));
+    }
     Status appended = wal_->AppendBatch(records);
 
     if (appended.ok() && hooks_.tail != nullptr) {

@@ -135,14 +135,6 @@ class WriteAheadLog {
   /// process restarts and recovery re-establishes a trusted tail.
   StatusOr<uint64_t> Append(const WalRecord& record);
 
-  /// Appends a record shipped from a replication leader, *preserving* its
-  /// sequence number so the follower's log lives in the leader's sequence
-  /// space (recovery and ack bookkeeping then need no translation). The
-  /// record's sequence must exceed last_sequence(); gaps are fine (the
-  /// leader skips sequences for commits its idempotence guards elided).
-  /// Same durability/poisoning semantics as Append.
-  StatusOr<uint64_t> AppendReplicated(const WalRecord& record);
-
   /// Group commit: appends `records` — each carrying a caller-assigned
   /// sequence, strictly ascending and above last_sequence() — as ONE
   /// write() followed by at most one sync decision for the whole batch
@@ -208,10 +200,6 @@ class WriteAheadLog {
 
  private:
   WriteAheadLog(std::string path, WalOptions options);
-
-  /// Shared tail of Append/AppendReplicated once the sequence is chosen.
-  StatusOr<uint64_t> AppendWithSequence(const WalRecord& record,
-                                        uint64_t sequence);
 
   /// Writes `framed` (one or many complete frames) atomically: rollback
   /// via ftruncate on a short write, poisoning when the rollback fails.
@@ -310,27 +298,25 @@ class GroupCommitWal {
   GroupCommitWal(const GroupCommitWal&) = delete;
   GroupCommitWal& operator=(const GroupCommitWal&) = delete;
 
-  /// Submits `record` (sequence pre-assigned, strictly above every
-  /// previously submitted sequence — callers serialize their Enqueues
-  /// through the sequence allocator's lock, which makes queue order equal
-  /// sequence order by construction). Returns immediately; the caller
-  /// later blocks in Wait. A submission rejected up front (shutdown,
-  /// poisoned log, non-ascending sequence) resolves the ticket
-  /// immediately with the error.
-  void Enqueue(const WalRecord& record, Ticket* ticket) EXCLUDES(mu_);
-
-  /// Enqueues `records[i]` onto `tickets[i]` in one queue critical
+  /// Submits `records[i]` onto `tickets[i]` in one queue critical
   /// section: the whole run lands in the same drain, hence shares one
-  /// batch and at most one fsync (the WriteBatch request path).
-  void EnqueueRun(const std::vector<WalRecord>& records,
+  /// batch and at most one fsync. Sequences are pre-assigned, ascending,
+  /// and strictly above every previously submitted sequence — callers
+  /// serialize their submissions through the sequence allocator's lock,
+  /// which makes queue order equal sequence order by construction. The
+  /// records are moved into the queue. Returns immediately; the caller
+  /// later blocks in Wait. A submission rejected up front (shutdown,
+  /// poisoned log, non-ascending sequence) resolves its ticket
+  /// immediately with the error.
+  void EnqueueRun(std::vector<WalRecord> records,
                   const std::vector<Ticket*>& tickets) EXCLUDES(mu_);
 
   /// Blocks until the ticket's batch resolved: OK once the record is
   /// acknowledged per the sync policy, the batch's error otherwise.
   Status Wait(Ticket* ticket) EXCLUDES(mu_);
 
-  /// Enqueue + Wait — the convenience form for serial callers (the
-  /// replicated-apply path, tests).
+  /// Submit + Wait for one record — the convenience form for serial
+  /// callers (the replicated-apply path, tests).
   Status Append(const WalRecord& record) EXCLUDES(mu_);
 
   /// Waits for everything already queued to be written, then forces an
@@ -375,7 +361,7 @@ class GroupCommitWal {
     Ticket* ticket;
   };
 
-  void EnqueueLocked(const WalRecord& record, Ticket* ticket) REQUIRES(mu_);
+  void EnqueueLocked(WalRecord record, Ticket* ticket) REQUIRES(mu_);
   /// Wakes the writer for a new record — immediately when it is idle,
   /// but during the batch-formation window only once the queue covers
   /// every commit in flight (see WalOptions::group_commit_window_us).

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "src/core/database.h"
+#include "src/index/delta_fti.h"
 #include "src/xml/parser.h"
 #include "src/workload/restaurant.h"
 #include "src/workload/tdocgen.h"
@@ -96,11 +97,12 @@ TEST(DatabaseTest, SaveAndOpenPreservesEverything) {
 }
 
 TEST(DatabaseTest, DeltaContentIndexOption) {
-  TemporalXmlDatabase db(DatabaseOptions{.delta_content_index = true});
+  DeltaContentIndex delta_index;
+  TemporalXmlDatabase db;
+  db.AddStoreObserver(&delta_index);
   LoadFigure1(&db);
-  ASSERT_NE(db.delta_content_index(), nullptr);
-  EXPECT_EQ(db.delta_content_index()
-                ->LookupEvents(TermKind::kWord, "akropolis").size(), 2u);
+  EXPECT_EQ(delta_index.LookupEvents(TermKind::kWord, "akropolis").size(),
+            2u);
 }
 
 TEST(DatabaseTest, LifetimeIndexCanBeDisabled) {

@@ -564,8 +564,10 @@ TEST(ServiceRecoveryTest, DeleteSurvivesRecovery) {
     ASSERT_TRUE((*service)->Delete("gone").ok());
     before = AnswersOf(service->get(), 2);
     // Deleting again fails and must not leave a bogus WAL record behind.
+    const uint64_t records = (*service)->wal()->record_count();
     EXPECT_FALSE((*service)->Delete("gone").ok());
     EXPECT_FALSE((*service)->Delete("never-existed").ok());
+    EXPECT_EQ((*service)->wal()->record_count(), records);
   }
   auto recovered = TemporalQueryService::Create(DurableOptions(dir));
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
@@ -615,6 +617,32 @@ TEST(ServiceRecoveryTest, VacuumIsCheckpointedAndRecovered) {
   auto recovered = TemporalQueryService::Create(DurableOptions(dir));
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   EXPECT_EQ(AnswersOf(recovered->get(), 8), before);
+}
+
+// A vacuum is a logged commit: it takes the next WAL sequence, but no
+// commit timestamp, so the auto-stamped put after it continues the
+// timestamp line one microsecond on.
+TEST(ServiceRecoveryTest, VacuumTakesASequenceButNoTimestamp) {
+  std::string dir = TempDir("svc_vacuum_ticket");
+  auto service = TemporalQueryService::Create(DurableOptions(dir));
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  auto first = (*service)->Put("u", GuideXml(1));
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ((*service)->wal()->last_sequence(), 1u);
+
+  // Nothing lies before the first commit: a valid policy that drops nothing.
+  auto vacuumed =
+      (*service)->Vacuum(RetentionPolicy::DropBefore(first->commit_ts));
+  ASSERT_TRUE(vacuumed.ok()) << vacuumed.status().ToString();
+  EXPECT_EQ(vacuumed->versions_dropped, 0u);
+  EXPECT_EQ((*service)->wal()->last_sequence(), 2u);
+
+  auto second = (*service)->Put("u", GuideXml(2));
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ((*service)->wal()->last_sequence(), 3u);
+  EXPECT_EQ((*service)->applied_sequence(), 3u);
+  EXPECT_EQ(second->commit_ts, first->commit_ts.AddMicros(1));
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ServiceRecoveryTest, LegacyDirectoryWithoutWalLoads) {

@@ -90,6 +90,7 @@ TEST(ServiceTest, BasicQueryAndWriteFlow) {
 
   // Epoch advances with commits.
   Timestamp before = service.Epoch();
+  ASSERT_EQ(service.Stats().writes_committed, 6u);
   ASSERT_TRUE(service.Put("other", "<d><x>1</x></d>").ok());
   EXPECT_GT(service.Epoch(), before);
 
@@ -98,8 +99,20 @@ TEST(ServiceTest, BasicQueryAndWriteFlow) {
 
   ServiceStats stats = service.Stats();
   EXPECT_EQ(stats.writes_committed, 7u);  // 6 hot versions + 1 other
+  EXPECT_EQ(stats.writes_failed, 0u);
   EXPECT_EQ(stats.queries_executed, 1u);
   EXPECT_EQ(stats.queries_failed, 1u);
+
+  // Put and Delete are commit runs of one item: each counts as one write
+  // and never as a batch. A refused put and a delete of a missing document
+  // each add exactly one failed write.
+  EXPECT_FALSE(service.Put("other", "<d><unclosed>").ok());
+  EXPECT_EQ(service.Stats().writes_failed, 1u);
+  EXPECT_FALSE(service.Delete("missing").ok());
+  stats = service.Stats();
+  EXPECT_EQ(stats.writes_failed, 2u);
+  EXPECT_EQ(stats.writes_committed, 7u);
+  EXPECT_EQ(stats.write_batches_committed, 0u);
 }
 
 TEST(ServiceTest, OptionValidationRejectsDegenerateConfigurations) {

@@ -32,6 +32,12 @@ tier-1 ctest (tests/CMakeLists.txt) and as stage 7 of scripts/check.sh:
                   delta chain goes through the cursor and its persistent
                   XID index (DESIGN.md §3), so none pays a whole tree per
                   delta again.
+  one-commit-path No call to BeginTurn( or the ticket allocator
+                  AllocateCommitRun( under src/ outside the bodies of
+                  CommitRun and Vacuum — every local write is a commit
+                  run (Put and Delete are runs of one; DESIGN.md §12),
+                  and the retired single-commit names AllocateCommit( and
+                  CommitPut( never come back.
 
 Usage:
   txml_lint.py [--root REPO_DIR]   lint the tree; exit 1 on any finding
@@ -56,6 +62,14 @@ LOCK_DECL_RE = re.compile(
 ASSERT_RE = re.compile(r"(?<![\w])assert\s*\(")
 CHAIN_APPLY_RE = re.compile(r"(?:\.|->)\s*Apply(?:Forward|Backward)\s*\(")
 CHAIN_WALKER = os.path.join("src", "storage", "delta_chain_cursor.cc")
+COMMIT_STEP_RE = re.compile(r"(?<![\w:])(BeginTurn|AllocateCommitRun)\s*\(")
+RETIRED_COMMIT_RE = re.compile(r"(?<![\w])(AllocateCommit|CommitPut)\s*\(")
+# A definition starts in column 0; its name is the identifier before its
+# parameter list (qualified or not).
+DEFINITION_RE = re.compile(r"^[A-Za-z_][^(]*?(\w+)\s*\(")
+# A declaration names a return type right before the function name.
+DECLARATION_RE = re.compile(r"\b(?!return\b)\w+[\s*&]+$")
+COMMIT_PATH_OWNERS = ("CommitRun", "Vacuum")
 
 
 def strip_line_comment(line):
@@ -203,12 +217,45 @@ def check_one_chain_walker(root):
     return findings
 
 
+def check_one_commit_path(root):
+    """one-commit-path: only CommitRun and Vacuum take tickets and turns."""
+    findings = []
+    for path in iter_source_files(root, "src"):
+        rel = relpath(root, path)
+        function = None
+        with open(path, encoding="utf-8") as fp:
+            for lineno, line in enumerate(fp, 1):
+                code = strip_line_comment(line)
+                definition = DEFINITION_RE.match(code)
+                if definition:
+                    function = definition.group(1)
+                for match in RETIRED_COMMIT_RE.finditer(code):
+                    findings.append(
+                        ("one-commit-path", rel, lineno,
+                         f"{match.group(1)} is retired; commit through "
+                         "CommitRun (DESIGN.md §12)"))
+                for match in COMMIT_STEP_RE.finditer(code):
+                    if definition or DECLARATION_RE.search(
+                            code[:match.start()]):
+                        continue
+                    if function in COMMIT_PATH_OWNERS:
+                        continue
+                    findings.append(
+                        ("one-commit-path", rel, lineno,
+                         f"{match.group(1)} called from {function}; only "
+                         f"{' and '.join(COMMIT_PATH_OWNERS)} take tickets "
+                         "and turns — commit through CommitRun "
+                         "(DESIGN.md §12)"))
+    return findings
+
+
 CHECKS = (
     check_raw_primitives,
     check_frame_coverage,
     check_lock_ranks,
     check_no_assert,
     check_one_chain_walker,
+    check_one_commit_path,
 )
 
 
@@ -267,6 +314,27 @@ def build_tree(root, seeded):
            "  return d.ApplyBackward(t, &i);\n"  # one-chain-walker
            "}\n")
     write(root, "src/core/widget.h", good + (bad if seeded else ""))
+    # one-commit-path: the run path and the vacuum take tickets and turns;
+    # the helpers' own definitions and declarations are not calls.
+    write(root, "src/service/service.h",
+          "  void AllocateCommitRun(std::span<CommitSlot> slots);\n"
+          "  void BeginTurn(uint64_t first_ticket) EXCLUDES(turn_mu_);\n")
+    write(root, "src/service/service.cc",
+          "void TemporalQueryService::BeginTurn(uint64_t first_ticket) {\n"
+          "}\n"
+          "StatusOr<RunResult> TemporalQueryService::CommitRun(\n"
+          "    std::span<const WriteBatchItem> items) {\n"
+          "  AllocateCommitRun(slots);\n"
+          "  if (m > 0) BeginTurn(slots.front().ticket);\n"
+          "}\n"
+          "StatusOr<VacuumStats> TemporalQueryService::Vacuum(\n"
+          "    const RetentionPolicy& policy) {\n"
+          "  AllocateCommitRun({&slot, 1});\n"
+          "  BeginTurn(slot.ticket);\n"
+          "}\n" +
+          ("Status TemporalQueryService::Delete(const std::string& url) {\n"
+           "  BeginTurn(slot.ticket);\n"
+           "}\n" if seeded else ""))
     # The cursor itself applies scripts; declarations and definitions are
     # not calls.
     write(root, "src/storage/delta_chain_cursor.cc",
@@ -298,7 +366,7 @@ def self_test():
         findings = run_lint(seeded)
         got_rules = {rule for rule, _, _, _ in findings}
         want_rules = {"raw-primitive", "frame-coverage", "lock-rank",
-                      "no-assert", "one-chain-walker"}
+                      "no-assert", "one-chain-walker", "one-commit-path"}
         missing = want_rules - got_rules
         if missing:
             print(f"self-test FAILED: rules {sorted(missing)} did not "
