@@ -65,15 +65,15 @@ void RunQuery(benchmark::State& state, const std::string& query,
   options.skip_unneeded_reconstruction = skip_reconstruction;
   size_t reconstructions = 0, rows = 0;
   for (auto _ : state) {
-    QueryExecutor executor(db->Context(), options);
-    auto result = executor.Execute(query);
+    ExecStats stats;
+    auto result = QueryExecutor(db->Context(), options).Execute(query, &stats);
     if (!result.ok()) {
       state.SkipWithError(result.status().ToString().c_str());
       return;
     }
     benchmark::DoNotOptimize(result);
-    reconstructions = executor.stats().snapshot_reconstructions;
-    rows = executor.stats().rows_emitted;
+    reconstructions = stats.snapshot_reconstructions;
+    rows = stats.rows_emitted;
   }
   state.counters["reconstructions"] = static_cast<double>(reconstructions);
   state.counters["rows"] = static_cast<double>(rows);
@@ -119,14 +119,15 @@ int main(int argc, char** argv) {
     txml::ExecOptions options;
     options.now = db->clock()->Last();
     options.skip_unneeded_reconstruction = skip;
-    txml::QueryExecutor executor(db->Context(), options);
-    auto result = executor.Execute(txml::bench::Q2());
+    txml::ExecStats stats;
+    auto result = txml::QueryExecutor(db->Context(), options)
+                      .Execute(txml::bench::Q2(), &stats);
     if (result.ok()) {
       txml::bench::PrintRow(
           "E10",
           std::string("q2 skip_reconstruction=") + (skip ? "on " : "off") +
               " reconstructions=" +
-              std::to_string(executor.stats().snapshot_reconstructions) +
+              std::to_string(stats.snapshot_reconstructions) +
               " result=" + txml::SerializeXml(*result->root()));
     }
   }

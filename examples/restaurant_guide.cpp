@@ -10,20 +10,25 @@
 #include "src/query/scan.h"
 #include "src/query/time_ops.h"
 #include "src/workload/restaurant.h"
+#include "src/xml/serializer.h"
 
 using namespace txml;
 
 namespace {
 
-void Show(TemporalXmlDatabase* db, const char* label,
-          const std::string& query) {
+/// Runs and prints one query; returns its counters.
+ExecStats Show(TemporalXmlDatabase* db, const char* label,
+               const std::string& query) {
   std::printf("--- %s\n%s\n", label, query.c_str());
-  auto result = db->QueryToString(query);
+  ExecStats stats;
+  auto result = db->QueryAt(query, db->latest_commit(), &stats);
   if (!result.ok()) {
     std::printf("error: %s\n\n", result.status().ToString().c_str());
-    return;
+    return stats;
   }
-  std::printf("%s\n\n", result->c_str());
+  std::printf("%s\n\n",
+              SerializeXml(*result->root(), {.pretty = true}).c_str());
+  return stats;
 }
 
 }  // namespace
@@ -47,12 +52,13 @@ int main() {
        "SELECT R FROM doc(\"" + url + "\")[26/01/2001]/restaurant R");
 
   // Q2: count at 26/01/2001 (TPatternScan + aggregate, no reconstruction).
-  Show(&db, "Q2: number of restaurants at 26/01/2001",
-       "SELECT SUM(R) FROM doc(\"" + url + "\")[26/01/2001]/restaurant R");
+  ExecStats q2_stats = Show(
+      &db, "Q2: number of restaurants at 26/01/2001",
+      "SELECT SUM(R) FROM doc(\"" + url + "\")[26/01/2001]/restaurant R");
   std::printf("    (snapshot reconstructions during Q2: %zu — the paper's "
               "point that deltas\n     do not hurt aggregate-only "
               "queries)\n\n",
-              db.last_query_stats().snapshot_reconstructions);
+              q2_stats.snapshot_reconstructions);
 
   // Q3: the price history of Napoli (TPatternScanAll).
   Show(&db, "Q3: price history of Napoli",

@@ -151,8 +151,8 @@ QueryContext TemporalXmlDatabase::Context() const {
 
 StatusOr<XmlDocument> TemporalXmlDatabase::Query(
     std::string_view query_text) {
-  last_stats_ = ExecStats{};
-  return QueryAt(query_text, clock_.Last(), &last_stats_);
+  ExecStats stats;
+  return QueryAt(query_text, clock_.Last(), &stats);
 }
 
 StatusOr<XmlDocument> TemporalXmlDatabase::QueryAt(

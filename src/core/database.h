@@ -104,8 +104,9 @@ class TemporalXmlDatabase {
   /// PutDocument (single writer); attached indexes are updated in place.
   StatusOr<VacuumStats> Vacuum(const RetentionPolicy& policy);
 
-  /// Executes a query of the Section-5 dialect; returns the
-  /// <results><result>…</result></results> document.
+  /// Executes a query of the Section-5 dialect as of latest_commit();
+  /// returns the <results><result>…</result></results> document. Callers
+  /// that want the counters use QueryAt(text, latest_commit(), &stats).
   StatusOr<XmlDocument> Query(std::string_view query_text);
 
   /// Const read path for the service layer: executes as of commit epoch
@@ -125,9 +126,6 @@ class TemporalXmlDatabase {
   /// operator per variable, resolved snapshot time, effective pattern with
   /// pushed-down word tests, whether content is materialized).
   StatusOr<std::string> Explain(std::string_view query_text);
-
-  /// Counters of the most recent Query call.
-  const ExecStats& last_query_stats() const { return last_stats_; }
 
   /// Snapshot of one document at time t (the paper's plain snapshot
   /// retrieval): a fresh tree.
@@ -198,7 +196,6 @@ class TemporalXmlDatabase {
   std::unique_ptr<LifetimeIndex> lifetime_;
   std::unique_ptr<DocumentTimeIndex> doctime_;
   SnapshotCacheInterface* snapshot_cache_ = nullptr;
-  ExecStats last_stats_;
 };
 
 }  // namespace txml

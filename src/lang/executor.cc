@@ -272,15 +272,6 @@ void CollectPushdowns(
   (*out)[path->var].push_back(PushdownPredicate{path, words[0]});
 }
 
-}  // namespace
-
-StatusOr<XmlDocument> QueryExecutor::Execute(std::string_view query_text) {
-  TXML_ASSIGN_OR_RETURN(Query query, ParseQuery(query_text));
-  return Execute(query);
-}
-
-namespace {
-
 /// Per-execution state: binding lists, reconstruction cache, evaluation.
 class Execution {
  public:
@@ -1161,10 +1152,6 @@ class Execution {
 
 }  // namespace
 
-StatusOr<XmlDocument> QueryExecutor::Execute(const Query& query) {
-  return Execute(query, &stats_);
-}
-
 StatusOr<XmlDocument> QueryExecutor::Execute(std::string_view query_text,
                                              ExecStats* stats) const {
   TXML_ASSIGN_OR_RETURN(Query query, ParseQuery(query_text));
@@ -1177,13 +1164,16 @@ StatusOr<XmlDocument> QueryExecutor::Execute(const Query& query,
   return execution.Run(query);
 }
 
-StatusOr<std::string> QueryExecutor::Explain(std::string_view query_text) {
+StatusOr<std::string> QueryExecutor::Explain(
+    std::string_view query_text) const {
   TXML_ASSIGN_OR_RETURN(Query query, ParseQuery(query_text));
   return Explain(query);
 }
 
-StatusOr<std::string> QueryExecutor::Explain(const Query& query) {
-  Execution execution(ctx_, options_, &stats_);
+StatusOr<std::string> QueryExecutor::Explain(const Query& query) const {
+  // Planning tallies decisions as it goes; nobody reads them for a plan.
+  ExecStats stats;
+  Execution execution(ctx_, options_, &stats);
   return execution.Explain(query);
 }
 

@@ -70,17 +70,11 @@ class QueryExecutor {
   QueryExecutor(const QueryContext& ctx, ExecOptions options)
       : ctx_(ctx), options_(options) {}
 
-  /// Parses and executes.
-  StatusOr<XmlDocument> Execute(std::string_view query_text);
-
-  /// Executes a parsed query.
-  StatusOr<XmlDocument> Execute(const Query& query);
-
-  /// Const read path: counters accumulate into caller-owned `stats`
-  /// (never null). Many threads may execute concurrently through one
-  /// executor — or per-thread copies — as long as nothing mutates the
-  /// stores/indexes behind ctx meanwhile; the service layer guarantees
-  /// that with its commit lock.
+  /// Parses (or takes a parsed query) and executes; counters accumulate
+  /// into caller-owned `stats` (never null). Many threads may execute
+  /// concurrently through one executor — or per-thread copies — as long
+  /// as nothing mutates the stores/indexes behind ctx meanwhile; the
+  /// service layer guarantees that with its commit lock.
   StatusOr<XmlDocument> Execute(std::string_view query_text,
                                 ExecStats* stats) const;
   StatusOr<XmlDocument> Execute(const Query& query, ExecStats* stats) const;
@@ -89,15 +83,12 @@ class QueryExecutor {
   /// item (scan operator, resolved snapshot time, pattern with pushed-down
   /// word tests, whether content is materialized) plus the post-scan
   /// predicate and output shape. For developers and tests.
-  StatusOr<std::string> Explain(std::string_view query_text);
-  StatusOr<std::string> Explain(const Query& query);
-
-  const ExecStats& stats() const { return stats_; }
+  StatusOr<std::string> Explain(std::string_view query_text) const;
+  StatusOr<std::string> Explain(const Query& query) const;
 
  private:
   QueryContext ctx_;
   ExecOptions options_;
-  ExecStats stats_;
 };
 
 }  // namespace txml

@@ -51,7 +51,8 @@ struct ClientOptions {
 /// produced.
 ///
 /// Not thread-safe (one conversation at a time); open one client per
-/// thread, mirroring one ClientSession per connection server-side.
+/// thread. The server serves each connection on one handler thread and
+/// executes its requests directly on the shared service.
 class TxmlClient {
  public:
   static StatusOr<TxmlClient> Connect(const std::string& host, uint16_t port,

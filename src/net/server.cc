@@ -3,10 +3,22 @@
 #include <algorithm>
 #include <utility>
 
-#include "src/service/session.h"
 #include "src/util/macros.h"
+#include "src/xml/serializer.h"
 
 namespace txml {
+namespace {
+
+/// The reserved auth field: empty is the only accepted value until auth
+/// ships, so a future token-bearing client fails loudly here instead of
+/// silently running unauthenticated.
+Status CheckAuthToken(const std::string& token) {
+  return token.empty() ? Status::OK()
+                       : Status::InvalidArgument(
+                             "auth tokens are not supported yet; send empty");
+}
+
+}  // namespace
 
 TxmlServer::TxmlServer(TemporalQueryService* service, ServerOptions options)
     : service_(service), options_(options) {}
@@ -98,8 +110,7 @@ void TxmlServer::AcceptLoop() {
                        "politely");
       SendResponse(socket.get(),
                    Status::Unavailable("server is overloaded: connection "
-                                       "queue is full, retry later"),
-                   {});
+                                       "queue is full, retry later"));
     }
   }
 }
@@ -121,7 +132,6 @@ void TxmlServer::HandleConnection(std::shared_ptr<Socket> socket) {
   // and it keys this connection's rate-limit bucket.
   const std::string peer = socket->PeerAddress();
 
-  std::unique_ptr<ClientSession> session = service_->OpenSession();
   while (!stopping_.load()) {
     auto frame = ReadFrame(socket.get(), options_.max_frame_bytes);
     if (!frame.ok()) {
@@ -130,16 +140,16 @@ void TxmlServer::HandleConnection(std::shared_ptr<Socket> socket) {
         // Idle past the read deadline: tell the peer why, then hang up.
         timeouts_.fetch_add(1, std::memory_order_relaxed);
         SendResponse(socket.get(),
-                     Status::Timeout("idle connection timed out"), {});
+                     Status::Timeout("idle connection timed out"));
       } else if (status.IsInvalidFrame()) {
         frames_rejected_.fetch_add(1, std::memory_order_relaxed);
-        SendResponse(socket.get(), status, {});
+        SendResponse(socket.get(), status);
       }
       // kUnavailable is the clean goodbye (EOF between frames); IO errors
       // and everything above close without further ceremony.
       break;
     }
-    if (!HandleFrame(socket.get(), *frame, session.get(), peer)) break;
+    if (!HandleFrame(socket.get(), *frame, peer)) break;
   }
 
   {
@@ -149,86 +159,53 @@ void TxmlServer::HandleConnection(std::shared_ptr<Socket> socket) {
 }
 
 bool TxmlServer::HandleFrame(Socket* socket, const Frame& frame,
-                             ClientSession* session,
                              const std::string& peer) {
-  if (frame.type == FrameType::kReplSubscribe) {
-    // A subscription turns this connection into a shipping stream that the
-    // repl hook owns until it ends; either way the connection closes after.
-    auto request = DecodeReplSubscribe(frame.payload);
-    if (!request.ok()) {
-      frames_rejected_.fetch_add(1, std::memory_order_relaxed);
-      SendResponse(socket, request.status(), {});
-      return false;
-    }
-    if (!request->auth_token.empty()) {
-      SendResponse(socket,
-                   Status::InvalidArgument(
-                       "auth tokens are not supported yet; send empty"),
-                   {});
-      return false;
-    }
-    if (!options_.repl_handler) {
-      SendResponse(
-          socket,
-          Status::InvalidArgument("replication is not enabled on this server"),
-          {});
-      return false;
-    }
-    options_.repl_handler(socket, *request);
-    return false;
-  }
+  auto send = [&](const Status& status, const QueryResponse& response = {}) {
+    return SendResponse(socket, status, response,
+                        options_.response_chunk_bytes);
+  };
 
-  if (frame.type == FrameType::kCheckpointRequest) {
-    // A checkpoint transfer owns the connection the same way a
-    // subscription does (DESIGN.md §14): the hook streams the archive,
-    // then the connection closes. Like subscriptions it skips rate
-    // limiting — throttling a below-floor follower's only way back just
-    // extends the outage.
-    auto request = DecodeCheckpointRequest(frame.payload);
+  // A subscription (DESIGN.md §11) or a checkpoint transfer (§14) hands
+  // the connection to its hook, which streams until it is done; either way
+  // the connection closes after. Hand-offs skip rate limiting — throttling
+  // a lagging or below-floor follower only extends its outage.
+  auto hand_off = [&](auto request, const auto& hook,
+                      const char* disabled_message) {
     if (!request.ok()) {
       frames_rejected_.fetch_add(1, std::memory_order_relaxed);
-      SendResponse(socket, request.status(), {});
+      send(request.status());
       return false;
     }
-    if (!request->auth_token.empty()) {
-      SendResponse(socket,
-                   Status::InvalidArgument(
-                       "auth tokens are not supported yet; send empty"),
-                   {});
-      return false;
+    Status admitted = CheckAuthToken(request->auth_token);
+    if (admitted.ok() && !hook) {
+      admitted = Status::InvalidArgument(disabled_message);
     }
-    if (!options_.checkpoint_handler) {
-      SendResponse(socket,
-                   Status::InvalidArgument(
-                       "checkpoint re-seed is not enabled on this server"),
-                   {});
-      return false;
+    if (admitted.ok()) {
+      hook(socket, *request);
+    } else {
+      send(admitted);
     }
-    options_.checkpoint_handler(socket, *request);
     return false;
+  };
+  if (frame.type == FrameType::kReplSubscribe) {
+    return hand_off(DecodeReplSubscribe(frame.payload), options_.repl_handler,
+                    "replication is not enabled on this server");
+  }
+  if (frame.type == FrameType::kCheckpointRequest) {
+    return hand_off(DecodeCheckpointRequest(frame.payload),
+                    options_.checkpoint_handler,
+                    "checkpoint re-seed is not enabled on this server");
   }
 
   // Admission control ahead of decode/execute: a throttled request costs
   // the server nothing but the rejection header. The connection survives —
   // rate limiting is back-pressure, not a protocol violation.
   if (rate_limiter_ && !rate_limiter_->Admit(peer)) {
-    return SendResponse(
-        socket,
-        Status::Unavailable("rate limited: per-client request budget "
-                            "exhausted, retry later"),
-        {});
+    return send(Status::Unavailable("rate limited: per-client request budget "
+                                    "exhausted, retry later"));
   }
 
   StatusOr<QueryResponse> response = [&]() -> StatusOr<QueryResponse> {
-    // The reserved auth field: empty is the only accepted value until auth
-    // ships, so a future token-bearing client fails loudly here instead of
-    // silently running unauthenticated.
-    auto check_token = [](const std::string& token) {
-      return token.empty()
-                 ? Status::OK()
-                 : Status::InvalidArgument(
-                       "auth tokens are not supported yet; send empty");
-    };
     auto reject_write = [&]() -> Status {
       if (!options_.read_only) return Status::OK();
       std::string message =
@@ -243,34 +220,34 @@ bool TxmlServer::HandleFrame(Socket* socket, const Frame& frame,
       case FrameType::kQueryRequest: {
         TXML_ASSIGN_OR_RETURN(QueryRequest request,
                               DecodeQueryRequest(frame.payload));
-        TXML_RETURN_IF_ERROR(check_token(request.auth_token));
-        return session->Execute(request);
+        TXML_RETURN_IF_ERROR(CheckAuthToken(request.auth_token));
+        return service_->Execute(request);
       }
       case FrameType::kPutRequest: {
         TXML_ASSIGN_OR_RETURN(PutRequest request,
                               DecodePutRequest(frame.payload));
-        TXML_RETURN_IF_ERROR(check_token(request.auth_token));
+        TXML_RETURN_IF_ERROR(CheckAuthToken(request.auth_token));
         TXML_RETURN_IF_ERROR(reject_write());
-        return session->Execute(request);
+        return service_->Execute(request);
       }
       case FrameType::kWriteBatchRequest: {
         TXML_ASSIGN_OR_RETURN(WriteBatchRequest request,
                               DecodeWriteBatchRequest(frame.payload));
-        TXML_RETURN_IF_ERROR(check_token(request.auth_token));
+        TXML_RETURN_IF_ERROR(CheckAuthToken(request.auth_token));
         TXML_RETURN_IF_ERROR(reject_write());
-        return session->Execute(request);
+        return service_->Execute(request);
       }
       case FrameType::kVacuumRequest: {
         TXML_ASSIGN_OR_RETURN(VacuumRequest request,
                               DecodeVacuumRequest(frame.payload));
-        TXML_RETURN_IF_ERROR(check_token(request.auth_token));
+        TXML_RETURN_IF_ERROR(CheckAuthToken(request.auth_token));
         TXML_RETURN_IF_ERROR(reject_write());
-        return session->Execute(request);
+        return service_->Execute(request);
       }
       case FrameType::kStatsRequest: {
         TXML_ASSIGN_OR_RETURN(StatsRequest request,
                               DecodeStatsRequest(frame.payload));
-        TXML_RETURN_IF_ERROR(check_token(request.auth_token));
+        TXML_RETURN_IF_ERROR(CheckAuthToken(request.auth_token));
         return StatsResponse();
       }
       default:
@@ -280,130 +257,89 @@ bool TxmlServer::HandleFrame(Socket* socket, const Frame& frame,
 
   if (response.ok()) {
     requests_served_.fetch_add(1, std::memory_order_relaxed);
-    return SendResponse(socket, Status::OK(), *response);
+    return send(Status::OK(), *response);
   }
   if (response.status().IsInvalidFrame()) {
     // Protocol violation: report, then drop the connection — there is no
     // trustworthy frame boundary to resynchronize on.
     frames_rejected_.fetch_add(1, std::memory_order_relaxed);
-    SendResponse(socket, response.status(), {});
+    send(response.status());
     return false;
   }
   // Query-level failure (parse error, not found, …): the connection is
   // healthy, report the status and keep serving.
   requests_failed_.fetch_add(1, std::memory_order_relaxed);
-  return SendResponse(socket, response.status(), {});
+  return send(response.status());
 }
 
 QueryResponse TxmlServer::StatsResponse() {
   ServiceStats service_stats = service_->Stats();
   ServerStats server_stats = Stats();
-  std::string xml = "<stats>";
-  xml += "<service queries=\"" +
-         std::to_string(service_stats.queries_executed) + "\" writes=\"" +
-         std::to_string(service_stats.writes_committed) + "\" vacuums=\"" +
-         std::to_string(service_stats.vacuums_run) + "\"/>";
-  xml += "<durability wal-last-sequence=\"" +
-         std::to_string(service_stats.durability.wal_last_sequence) +
-         "\" wal-bytes=\"" +
-         std::to_string(service_stats.durability.wal_bytes) +
-         "\" checkpoints=\"" +
-         std::to_string(service_stats.durability.checkpoints_completed) +
-         "\"/>";
-  xml += "<replication last-committed-sequence=\"" +
-         std::to_string(service_stats.replication.last_committed_sequence) +
-         "\" last-checkpoint-sequence=\"" +
-         std::to_string(service_stats.replication.last_checkpoint_sequence) +
-         "\" replicated-applied=\"" +
-         std::to_string(service_stats.replication.replicated_records_applied) +
-         "\" replicated-skipped=\"" +
-         std::to_string(service_stats.replication.replicated_records_skipped) +
-         "\" reseeds=\"" + std::to_string(service_stats.replication.reseeds) +
-         "\" reseed-bytes=\"" +
-         std::to_string(service_stats.replication.reseed_bytes) +
-         "\" read-only=\"" + (options_.read_only ? "true" : "false") + "\"/>";
-  {
-    // Commit-path concurrency: aggregate shard contention plus the
-    // group-commit batch shape (DESIGN.md §12).
-    uint64_t acquires = 0, waits = 0;
-    for (const CommitShardStats& shard : service_stats.commit_path.shards) {
-      acquires += shard.acquires;
-      waits += shard.waits;
-    }
-    xml += "<commit-path shards=\"" +
-           std::to_string(service_stats.commit_path.shards.size()) +
-           "\" acquires=\"" + std::to_string(acquires) + "\" waits=\"" +
-           std::to_string(waits) + "\" batches=\"" +
-           std::to_string(service_stats.commit_path.batches_written) +
-           "\" records=\"" +
-           std::to_string(service_stats.commit_path.records_written) +
-           "\" syncs=\"" +
-           std::to_string(service_stats.commit_path.syncs) +
-           "\" max-batch=\"" +
-           std::to_string(service_stats.commit_path.max_batch_records) +
-           "\"/>";
+  auto count = [](uint64_t n) { return std::to_string(n); };
+  std::unique_ptr<XmlNode> stats = XmlNode::Element("stats");
+  stats->AddChild(XmlNode::Element(
+      "service", {{"queries", count(service_stats.queries_executed)},
+                  {"writes", count(service_stats.writes_committed)},
+                  {"vacuums", count(service_stats.vacuums_run)}}));
+  const DurabilityStats& durability = service_stats.durability;
+  stats->AddChild(XmlNode::Element(
+      "durability",
+      {{"wal-last-sequence", count(durability.wal_last_sequence)},
+       {"wal-bytes", count(durability.wal_bytes)},
+       {"checkpoints", count(durability.checkpoints_completed)}}));
+  const ReplicationStats& replication = service_stats.replication;
+  stats->AddChild(XmlNode::Element(
+      "replication",
+      {{"last-committed-sequence", count(replication.last_committed_sequence)},
+       {"last-checkpoint-sequence",
+        count(replication.last_checkpoint_sequence)},
+       {"replicated-applied", count(replication.replicated_records_applied)},
+       {"replicated-skipped", count(replication.replicated_records_skipped)},
+       {"reseeds", count(replication.reseeds)},
+       {"reseed-bytes", count(replication.reseed_bytes)},
+       {"read-only", options_.read_only ? "true" : "false"}}));
+  // Commit-path concurrency: aggregate shard contention plus the
+  // group-commit batch shape (DESIGN.md §12).
+  const CommitPathStats& commit_path = service_stats.commit_path;
+  uint64_t acquires = 0, waits = 0;
+  for (const CommitShardStats& shard : commit_path.shards) {
+    acquires += shard.acquires;
+    waits += shard.waits;
   }
+  stats->AddChild(XmlNode::Element(
+      "commit-path", {{"shards", count(commit_path.shards.size())},
+                      {"acquires", count(acquires)},
+                      {"waits", count(waits)},
+                      {"batches", count(commit_path.batches_written)},
+                      {"records", count(commit_path.records_written)},
+                      {"syncs", count(commit_path.syncs)},
+                      {"max-batch", count(commit_path.max_batch_records)}}));
   // Split-index health + planner decisions (DESIGN.md §13): differential
   // growth vs. fold cadence, and which arm queries actually ran on.
-  xml += "<fti main-postings=\"" +
-         std::to_string(service_stats.fti.main_postings) +
-         "\" differential-postings=\"" +
-         std::to_string(service_stats.fti.differential_postings) +
-         "\" compactions=\"" +
-         std::to_string(service_stats.fti.compactions) + "\"/>";
-  xml += "<planner scans-index=\"" +
-         std::to_string(service_stats.planner.scans_index) +
-         "\" scans-traversal=\"" +
-         std::to_string(service_stats.planner.scans_traversal) +
-         "\" lifetime-index=\"" +
-         std::to_string(service_stats.planner.lifetime_index_lookups) +
-         "\" lifetime-traversal=\"" +
-         std::to_string(service_stats.planner.lifetime_traversals) +
-         "\" fallbacks=\"" +
-         std::to_string(service_stats.planner.strategy_fallbacks) + "\"/>";
-  xml += "<server connections-accepted=\"" +
-         std::to_string(server_stats.connections_accepted) +
-         "\" requests-served=\"" +
-         std::to_string(server_stats.requests_served) +
-         "\" requests-failed=\"" +
-         std::to_string(server_stats.requests_failed) +
-         "\" requests-rate-limited=\"" +
-         std::to_string(server_stats.requests_rate_limited) + "\"/>";
-  if (options_.stats_extra) xml += options_.stats_extra();
-  xml += "</stats>";
+  const FtiIndexStats& fti = service_stats.fti;
+  stats->AddChild(XmlNode::Element(
+      "fti",
+      {{"main-postings", count(fti.main_postings)},
+       {"differential-postings", count(fti.differential_postings)},
+       {"compactions", count(fti.compactions)}}));
+  const PlannerStats& planner = service_stats.planner;
+  stats->AddChild(XmlNode::Element(
+      "planner", {{"scans-index", count(planner.scans_index)},
+                  {"scans-traversal", count(planner.scans_traversal)},
+                  {"lifetime-index", count(planner.lifetime_index_lookups)},
+                  {"lifetime-traversal", count(planner.lifetime_traversals)},
+                  {"fallbacks", count(planner.strategy_fallbacks)}}));
+  stats->AddChild(XmlNode::Element(
+      "server",
+      {{"connections-accepted", count(server_stats.connections_accepted)},
+       {"requests-served", count(server_stats.requests_served)},
+       {"requests-failed", count(server_stats.requests_failed)},
+       {"requests-rate-limited", count(server_stats.requests_rate_limited)}}));
+  if (options_.stats_extra) options_.stats_extra(stats.get());
   QueryResponse response;
-  response.payload = std::move(xml);
+  response.payload = SerializeXml(*stats);
   response.sequence = service_->applied_sequence();
   return response;
-}
-
-bool TxmlServer::SendResponse(Socket* socket, const Status& status,
-                              const QueryResponse& response) {
-  ResponseHeader header;
-  header.status_code = status.code();
-  header.error_message = status.message();
-  header.payload_bytes = status.ok() ? response.payload.size() : 0;
-  header.stats = response.stats;
-  header.sequence = response.sequence;
-  if (!WriteFrame(socket, FrameType::kResponseHeader,
-                  EncodeResponseHeader(header))
-           .ok()) {
-    return false;
-  }
-  if (status.ok()) {
-    std::string_view rest = response.payload;
-    while (!rest.empty()) {
-      size_t chunk = std::min(rest.size(), options_.response_chunk_bytes);
-      if (!WriteFrame(socket, FrameType::kResponseChunk, rest.substr(0, chunk))
-               .ok()) {
-        return false;
-      }
-      rest.remove_prefix(chunk);
-    }
-  }
-  return WriteFrame(socket, FrameType::kResponseEnd,
-                    EncodeResponseEnd(header.payload_bytes))
-      .ok();
 }
 
 }  // namespace txml

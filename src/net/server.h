@@ -15,6 +15,7 @@
 #include "src/service/thread_pool.h"
 #include "src/util/synchronization.h"
 #include "src/util/thread.h"
+#include "src/xml/node.h"
 
 namespace txml {
 
@@ -27,10 +28,10 @@ struct ServerOptions {
   /// TxmlServer::port(), used by tests and the CLI's startup banner).
   uint16_t port = 0;
   /// Connection-handler threads: each accepted connection occupies one
-  /// pool thread for its lifetime (blocking I/O, one ClientSession per
-  /// connection). Connections beyond this count queue in the pool until a
-  /// handler frees up. 0 means "use the default" — callers report the
-  /// actual count via TxmlServer::connection_threads() after Start.
+  /// pool thread for its lifetime (blocking I/O). Connections beyond
+  /// this count queue in the pool until a handler frees up. 0 means "use
+  /// the default" — callers report the actual count via
+  /// TxmlServer::connection_threads() after Start.
   size_t connection_threads = 0;
   /// Per-connection socket deadlines. A read timeout on an idle
   /// connection closes it (the client reconnects); mid-frame timeouts are
@@ -83,9 +84,9 @@ struct ServerOptions {
   /// re-seeding not served: requesters get kInvalidArgument (the refusal
   /// the applier parks on).
   std::function<void(Socket*, const CheckpointRequest&)> checkpoint_handler;
-  /// Extra XML appended inside the <stats> document served for
+  /// Appends extra elements to the <stats> element served for
   /// kStatsRequest (the mains add shipper / applier state).
-  std::function<std::string()> stats_extra;
+  std::function<void(XmlNode* stats)> stats_extra;
 };
 
 /// Aggregate counters of a TxmlServer (monotonic; read with Stats()).
@@ -104,8 +105,8 @@ struct ServerStats {
 };
 
 /// The network front end: a TCP server speaking the length-prefixed frame
-/// protocol of src/net/wire.h, mapping each connection onto one
-/// ClientSession of a TemporalQueryService (DESIGN.md §7).
+/// protocol of src/net/wire.h, executing each connection's requests on a
+/// TemporalQueryService (DESIGN.md §7).
 ///
 /// Threading: one accept-loop thread plus a bounded ThreadPool of
 /// connection handlers (blocking I/O — the connection-thread model; the
@@ -153,14 +154,10 @@ class TxmlServer {
   /// Runs one decoded request frame; returns false when the connection
   /// should close (protocol error already reported to the peer).
   /// `peer` is the connection's rate-limit bucket key (peer IP).
-  bool HandleFrame(Socket* socket, const Frame& frame, ClientSession* session,
+  bool HandleFrame(Socket* socket, const Frame& frame,
                    const std::string& peer);
   /// Builds the <stats> XML document for kStatsRequest.
   QueryResponse StatsResponse();
-  /// Sends header + chunked payload + end. Any socket error aborts the
-  /// connection (returns false).
-  bool SendResponse(Socket* socket, const Status& status,
-                    const QueryResponse& response);
 
   TemporalQueryService* service_;
   ServerOptions options_;

@@ -8,6 +8,7 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <utility>
@@ -280,6 +281,35 @@ StatusOr<Frame> ReadFrame(Socket* socket, size_t max_frame_bytes) {
   frame.type = static_cast<FrameType>(type);
   frame.payload = body.substr(1);
   return frame;
+}
+
+bool SendResponse(Socket* socket, const Status& status,
+                  const QueryResponse& response, size_t chunk_bytes) {
+  ResponseHeader header;
+  header.status_code = status.code();
+  header.error_message = status.message();
+  header.payload_bytes = status.ok() ? response.payload.size() : 0;
+  header.stats = response.stats;
+  header.sequence = response.sequence;
+  if (!WriteFrame(socket, FrameType::kResponseHeader,
+                  EncodeResponseHeader(header))
+           .ok()) {
+    return false;
+  }
+  if (status.ok()) {
+    std::string_view rest = response.payload;
+    while (!rest.empty()) {
+      size_t chunk = std::min(rest.size(), chunk_bytes);
+      if (!WriteFrame(socket, FrameType::kResponseChunk, rest.substr(0, chunk))
+               .ok()) {
+        return false;
+      }
+      rest.remove_prefix(chunk);
+    }
+  }
+  return WriteFrame(socket, FrameType::kResponseEnd,
+                    EncodeResponseEnd(header.payload_bytes))
+      .ok();
 }
 
 }  // namespace txml

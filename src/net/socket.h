@@ -107,6 +107,14 @@ Status WriteFrame(Socket* socket, FrameType type, std::string_view payload);
 /// anything structurally wrong; kTimeout = read deadline expired.
 StatusOr<Frame> ReadFrame(Socket* socket, size_t max_frame_bytes);
 
+/// Writes one response envelope: the kResponseHeader frame, the payload
+/// in kResponseChunk frames of at most `chunk_bytes` (only when `status`
+/// is OK) and the kResponseEnd frame. Returns false on any socket error,
+/// after which the connection is unusable.
+bool SendResponse(Socket* socket, const Status& status,
+                  const QueryResponse& response = {},
+                  size_t chunk_bytes = kDefaultResponseChunkBytes);
+
 }  // namespace txml
 
 #endif  // TXML_SRC_NET_SOCKET_H_

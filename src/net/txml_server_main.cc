@@ -353,11 +353,9 @@ int main(int argc, char** argv) {
                                                      applier_options);
   }
   if (read_only) server_options.read_only = true;
-  server_options.stats_extra = [&shipper, &applier]() {
-    std::string xml;
-    if (shipper) xml += shipper->StatsXml();
-    if (applier) xml += applier->StatsXml();
-    return xml;
+  server_options.stats_extra = [&shipper, &applier](txml::XmlNode* stats) {
+    if (shipper) stats->AddChild(shipper->StatsElement());
+    if (applier) stats->AddChild(applier->StatsElement());
   };
 
   // Install the shutdown plumbing BEFORE the server starts accepting: a

@@ -6,28 +6,29 @@
 #include "src/util/crc32c.h"
 #include "src/util/logging.h"
 #include "src/util/macros.h"
-#include "src/xml/serializer.h"
 
 namespace txml {
 namespace {
 
-/// Decodes an error response the leader sent in place of a checkpoint
-/// frame, drains its body (chunks + end), and returns the status it
-/// carried — the checkpoint-stream twin of DrainErrorResponse.
-Status DrainLeaderError(Socket* socket, size_t max_frame_bytes,
-                        const std::string& payload) {
-  auto header = DecodeResponseHeader(payload);
-  if (!header.ok()) return header.status();
+/// Decodes the response header the leader sent in place of a stream
+/// frame, drains the rest of the response (chunks + end), and returns the
+/// status it carried. `stream` names the conversation for the error a
+/// success header earns.
+Status DrainErrorResponse(Socket* socket, size_t max_frame_bytes,
+                          const std::string& header_payload,
+                          const char* stream) {
+  TXML_ASSIGN_OR_RETURN(ResponseHeader header,
+                        DecodeResponseHeader(header_payload));
   while (true) {
     auto frame = ReadFrame(socket, max_frame_bytes);
     if (!frame.ok()) break;  // the reported status matters more
     if (frame->type != FrameType::kResponseChunk) break;
   }
-  if (header->status_code == StatusCode::kOk) {
+  if (header.status_code == StatusCode::kOk) {
     return Status::InvalidFrame(
-        "leader sent a success response inside a checkpoint transfer");
+        std::string("leader sent a success response inside ") + stream);
   }
-  return Status(header->status_code, header->error_message);
+  return Status(header.status_code, header.error_message);
 }
 
 }  // namespace
@@ -38,7 +39,8 @@ Status ReceiveCheckpointStream(Socket* socket, size_t max_frame_bytes,
   auto frame = ReadFrame(socket, max_frame_bytes);
   if (!frame.ok()) return frame.status();
   if (frame->type == FrameType::kResponseHeader) {
-    return DrainLeaderError(socket, max_frame_bytes, frame->payload);
+    return DrainErrorResponse(socket, max_frame_bytes, frame->payload,
+                              "a checkpoint transfer");
   }
   if (frame->type != FrameType::kCheckpointMeta) {
     return Status::InvalidFrame(
@@ -76,7 +78,8 @@ Status ReceiveCheckpointStream(Socket* socket, size_t max_frame_bytes,
     auto chunk_frame = ReadFrame(socket, max_frame_bytes);
     if (!chunk_frame.ok()) return chunk_frame.status();
     if (chunk_frame->type == FrameType::kResponseHeader) {
-      return DrainLeaderError(socket, max_frame_bytes, chunk_frame->payload);
+      return DrainErrorResponse(socket, max_frame_bytes, chunk_frame->payload,
+                                "a checkpoint transfer");
     }
     if (chunk_frame->type != FrameType::kCheckpointChunk) {
       return Status::InvalidFrame(
@@ -302,9 +305,9 @@ Status ReplicaApplier::RunSession(bool* progressed) {
         case FrameType::kResponseHeader: {
           // The leader rejected the subscription (or aborted the stream);
           // the payload carries the status to act on.
-          TXML_ASSIGN_OR_RETURN(ResponseHeader header,
-                                DecodeResponseHeader(frame->payload));
-          return DrainErrorResponse(&socket, header);
+          return DrainErrorResponse(&socket, options_.max_frame_bytes,
+                                    frame->payload,
+                                    "the replication stream");
         }
         default:
           return Status::InvalidFrame(
@@ -381,21 +384,6 @@ Status ReplicaApplier::RunReseed() {
   return result;
 }
 
-Status ReplicaApplier::DrainErrorResponse(Socket* socket,
-                                          const ResponseHeader& header) {
-  while (true) {
-    auto frame = ReadFrame(socket, options_.max_frame_bytes);
-    if (!frame.ok()) break;  // the reported status matters more
-    if (frame->type == FrameType::kResponseEnd) break;
-    if (frame->type != FrameType::kResponseChunk) break;
-  }
-  if (header.status_code == StatusCode::kOk) {
-    return Status::InvalidFrame(
-        "leader sent a success response inside the replication stream");
-  }
-  return Status(header.status_code, header.error_message);
-}
-
 void ReplicaApplier::SetError(const Status& status) {
   MutexLock lock(mu_);
   state_.last_error = status.ToString();
@@ -423,25 +411,22 @@ ReplicaApplier::State ReplicaApplier::GetState() const {
   return state_;
 }
 
-std::string ReplicaApplier::StatsXml() const {
+std::unique_ptr<XmlNode> ReplicaApplier::StatsElement() const {
   State state = GetState();
-  std::string xml = "<applier leader=\"";
-  xml += EscapeXml(options_.leader_host + ":" +
-                   std::to_string(options_.leader_port));
-  xml += "\" connected=\"";
-  xml += state.connected ? "true" : "false";
-  xml += "\" fatal=\"";
-  xml += state.fatal ? "true" : "false";
-  xml += "\" reseeding=\"";
-  xml += state.reseeding ? "true" : "false";
-  xml += "\" applied-sequence=\"" + std::to_string(state.applied_sequence);
-  xml += "\" leader-last-sequence=\"" +
-         std::to_string(state.leader_last_sequence);
-  xml += "\" batches-applied=\"" + std::to_string(state.batches_applied);
-  xml += "\" reconnects=\"" + std::to_string(state.reconnects);
-  xml += "\" reseeds=\"" + std::to_string(state.reseeds);
-  xml += "\" last-error=\"" + EscapeXml(state.last_error) + "\"/>";
-  return xml;
+  auto flag = [](bool on) { return on ? "true" : "false"; };
+  return XmlNode::Element(
+      "applier",
+      {{"leader",
+        options_.leader_host + ":" + std::to_string(options_.leader_port)},
+       {"connected", flag(state.connected)},
+       {"fatal", flag(state.fatal)},
+       {"reseeding", flag(state.reseeding)},
+       {"applied-sequence", std::to_string(state.applied_sequence)},
+       {"leader-last-sequence", std::to_string(state.leader_last_sequence)},
+       {"batches-applied", std::to_string(state.batches_applied)},
+       {"reconnects", std::to_string(state.reconnects)},
+       {"reseeds", std::to_string(state.reseeds)},
+       {"last-error", state.last_error}});
 }
 
 }  // namespace txml

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -13,6 +14,7 @@
 #include "src/util/synchronization.h"
 #include "src/util/thread.h"
 #include "src/util/thread_annotations.h"
+#include "src/xml/node.h"
 
 namespace txml {
 
@@ -129,8 +131,8 @@ class ReplicaApplier {
 
   State GetState() const EXCLUDES(mu_);
 
-  /// `<applier …/>` fragment for the follower server's stats document.
-  std::string StatsXml() const EXCLUDES(mu_);
+  /// The `<applier>` element of the follower server's stats document.
+  std::unique_ptr<XmlNode> StatsElement() const EXCLUDES(mu_);
 
  private:
   void Run() EXCLUDES(mu_);
@@ -145,9 +147,6 @@ class ReplicaApplier {
   /// refused; anything else is transient and the partial archive is kept
   /// for the next attempt's resume offset.
   Status RunReseed() EXCLUDES(mu_);
-  /// Reads the remainder of an error response (chunks + end) and returns
-  /// the status the leader reported.
-  Status DrainErrorResponse(Socket* socket, const ResponseHeader& header);
   void SetError(const Status& status) EXCLUDES(mu_);
   void BackoffSleep(int failures);
   /// The parked-state sleep: options_.fatal_retry_ms, interruptible by

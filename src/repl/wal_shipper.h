@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -12,6 +13,7 @@
 #include "src/service/service.h"
 #include "src/util/synchronization.h"
 #include "src/util/thread_annotations.h"
+#include "src/xml/node.h"
 
 namespace txml {
 
@@ -97,8 +99,8 @@ class WalShipper {
 
   std::vector<FollowerState> Followers() const EXCLUDES(mu_);
 
-  /// `<followers>…</followers>` fragment for the server's stats document.
-  std::string StatsXml() const EXCLUDES(mu_);
+  /// The `<followers>` element of the server's stats document.
+  std::unique_ptr<XmlNode> StatsElement() const EXCLUDES(mu_);
 
  private:
   /// Sends one batch and waits for the follower's ack; false ends Serve.

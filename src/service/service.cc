@@ -8,7 +8,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "src/service/session.h"
 #include "src/util/env.h"
 #include "src/util/logging.h"
 #include "src/util/macros.h"
@@ -587,9 +586,10 @@ StatusOr<QueryResponse> TemporalQueryService::Execute(
                  .timestamp = request.timestamp},
                 &sequence));
   QueryResponse response;
-  response.payload = "<put-result url=\"" + EscapeXml(request.url) +
-                     "\" version=\"" + std::to_string(result.version) +
-                     "\" commit=\"" + result.commit_ts.ToString() + "\"/>";
+  response.payload = SerializeXml(*XmlNode::Element(
+      "put-result", {{"url", request.url},
+                     {"version", std::to_string(result.version)},
+                     {"commit", result.commit_ts.ToString()}}));
   response.sequence = sequence;
   return response;
 }
@@ -607,31 +607,34 @@ StatusOr<QueryResponse> TemporalQueryService::Execute(
   TXML_ASSIGN_OR_RETURN(RunResult run, CommitRun(request.items));
   write_batches_committed_.fetch_add(1, std::memory_order_relaxed);
   const size_t n = request.items.size();
-  std::string payload =
-      "<write-batch-result items=\"" + std::to_string(n) + "\" committed=\"" +
-      std::to_string(run.committed) + "\" failed=\"" +
-      std::to_string(n - run.committed) + "\" sequence=\"" +
-      std::to_string(run.sequence) + "\">";
+  std::unique_ptr<XmlNode> result = XmlNode::Element(
+      "write-batch-result", {{"items", std::to_string(n)},
+                             {"committed", std::to_string(run.committed)},
+                             {"failed", std::to_string(n - run.committed)},
+                             {"sequence", std::to_string(run.sequence)}});
   for (size_t i = 0; i < n; ++i) {
     const WriteBatchItem& item = request.items[i];
     const StatusOr<PutResult>& outcome = run.outcomes[i];
-    payload += "<item url=\"" + EscapeXml(item.url) + "\" action=\"";
-    payload += item.kind == WriteBatchItem::Kind::kDelete ? "delete" : "put";
-    if (outcome.ok()) {
-      payload += "\" status=\"ok\"";
-      if (item.kind == WriteBatchItem::Kind::kPut) {
-        payload += " version=\"" + std::to_string(outcome->version) + "\"";
-      }
-      payload += " commit=\"" + outcome->commit_ts.ToString() + "\"/>";
-    } else {
-      payload += "\" status=\"error\" message=\"" +
-                 EscapeXml(outcome.status().ToString()) + "\"/>";
+    const bool is_put = item.kind == WriteBatchItem::Kind::kPut;
+    XmlNode* entry = result->AddChild(XmlNode::Element(
+        "item", {{"url", item.url},
+                 {"action", is_put ? "put" : "delete"},
+                 {"status", outcome.ok() ? "ok" : "error"}}));
+    if (!outcome.ok()) {
+      entry->AddChild(
+          XmlNode::Attribute("message", outcome.status().ToString()));
+      continue;
     }
+    if (is_put) {
+      entry->AddChild(
+          XmlNode::Attribute("version", std::to_string(outcome->version)));
+    }
+    entry->AddChild(
+        XmlNode::Attribute("commit", outcome->commit_ts.ToString()));
   }
-  payload += "</write-batch-result>";
 
   QueryResponse response;
-  response.payload = std::move(payload);
+  response.payload = SerializeXml(*result);
   response.sequence = run.sequence;
   MaybeCheckpoint();
   MaybeCompactFti();
@@ -646,16 +649,16 @@ StatusOr<QueryResponse> TemporalQueryService::Execute(
   policy.keep_every = request.keep_every;
   TXML_ASSIGN_OR_RETURN(VacuumStats stats, Vacuum(policy));
   QueryResponse response;
-  response.payload =
-      "<vacuum-result documents=\"" + std::to_string(stats.documents_examined) +
-      "\" vacuumed=\"" + std::to_string(stats.documents_vacuumed) +
-      "\" versions-dropped=\"" + std::to_string(stats.versions_dropped) +
-      "\" snapshots-dropped=\"" + std::to_string(stats.snapshots_dropped) +
-      "\" deltas-merged=\"" + std::to_string(stats.deltas_merged) +
-      "\" bytes-before=\"" + std::to_string(stats.bytes_before) +
-      "\" bytes-after=\"" + std::to_string(stats.bytes_after) +
-      "\" reclaimed-bytes=\"" + std::to_string(stats.ReclaimedBytes()) +
-      "\"/>";
+  response.payload = SerializeXml(*XmlNode::Element(
+      "vacuum-result",
+      {{"documents", std::to_string(stats.documents_examined)},
+       {"vacuumed", std::to_string(stats.documents_vacuumed)},
+       {"versions-dropped", std::to_string(stats.versions_dropped)},
+       {"snapshots-dropped", std::to_string(stats.snapshots_dropped)},
+       {"deltas-merged", std::to_string(stats.deltas_merged)},
+       {"bytes-before", std::to_string(stats.bytes_before)},
+       {"bytes-after", std::to_string(stats.bytes_after)},
+       {"reclaimed-bytes", std::to_string(stats.ReclaimedBytes())}}));
   return response;
 }
 
@@ -1111,11 +1114,6 @@ StatusOr<XmlDocument> TemporalQueryService::Snapshot(const std::string& url,
   return db_->Snapshot(url, t);
 }
 
-std::unique_ptr<ClientSession> TemporalQueryService::OpenSession() {
-  uint64_t id = sessions_opened_.fetch_add(1, std::memory_order_relaxed) + 1;
-  return std::make_unique<ClientSession>(this, id);
-}
-
 Timestamp TemporalQueryService::Epoch() const {
   ReaderLock lock(commit_mu_);
   return db_->latest_commit();
@@ -1130,7 +1128,6 @@ ServiceStats TemporalQueryService::Stats() const {
   stats.write_batches_committed =
       write_batches_committed_.load(std::memory_order_relaxed);
   stats.vacuums_run = vacuums_run_.load(std::memory_order_relaxed);
-  stats.sessions_opened = sessions_opened_.load(std::memory_order_relaxed);
   if (cache_ != nullptr) stats.snapshot_cache = cache_->Stats();
   stats.durability.wal_records_appended =
       wal_records_appended_.load(std::memory_order_relaxed);
@@ -1152,18 +1149,7 @@ ServiceStats TemporalQueryService::Stats() const {
     // precisely so Stats() never queues behind the commit path.
     stats.durability.wal_last_sequence = wal_->last_sequence();
     stats.durability.wal_bytes = wal_->file_bytes();
-    GroupCommitStats group = wal_->Stats();
-    stats.commit_path.batches_written = group.batches_written;
-    stats.commit_path.records_written = group.records_written;
-    stats.commit_path.syncs = group.syncs;
-    stats.commit_path.max_batch_records = group.max_batch_records;
-    static_assert(CommitPathStats::kBatchHistogramBuckets ==
-                      GroupCommitStats::kHistogramBuckets,
-                  "histogram shapes must agree");
-    for (size_t i = 0; i < GroupCommitStats::kHistogramBuckets; ++i) {
-      stats.commit_path.batch_size_histogram[i] =
-          group.batch_size_histogram[i];
-    }
+    static_cast<GroupCommitStats&>(stats.commit_path) = wal_->Stats();
   }
   stats.replication.last_committed_sequence = applied_sequence();
   stats.replication.last_checkpoint_sequence =

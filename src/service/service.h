@@ -24,8 +24,6 @@
 
 namespace txml {
 
-class ClientSession;
-
 /// Durability configuration (DESIGN.md §9). With a data_dir, every commit
 /// is appended to a write-ahead log before the store and indexes observe
 /// it, the database is checkpointed atomically into the directory, and
@@ -90,7 +88,7 @@ struct ServiceOptions {
 Status ValidateServiceOptions(const ServiceOptions& options);
 
 /// The multi-client façade over one TemporalXmlDatabase: accepts textual
-/// queries and writes from many concurrent sessions and executes them with
+/// queries and writes from many concurrent callers and executes them with
 /// sharded-writer / multi-reader concurrency.
 ///
 /// Concurrency model (DESIGN.md §6/§12):
@@ -271,12 +269,6 @@ class TemporalQueryService {
   Status InstallCheckpoint(const CheckpointImage& image)
       EXCLUDES(commit_mu_);
 
-  // ---- sessions ----
-
-  /// Opens a client session: a lightweight per-caller handle carrying its
-  /// own last-query stats. Sessions must not outlive the service.
-  std::unique_ptr<ClientSession> OpenSession();
-
   // ---- introspection ----
 
   /// The commit epoch a reader starting now would pin.
@@ -303,8 +295,6 @@ class TemporalQueryService {
   const GroupCommitWal* group_wal() const { return wal_.get(); }
 
  private:
-  friend class ClientSession;
-
   /// One commit-lock stripe plus its contention counters (reported by
   /// Stats as CommitPathStats). TryLock-first acquisition makes `waits`
   /// count the acquisitions that actually blocked on a same-shard writer.
@@ -526,7 +516,6 @@ class TemporalQueryService {
   std::atomic<uint64_t> writes_failed_{0};
   std::atomic<uint64_t> write_batches_committed_{0};
   std::atomic<uint64_t> vacuums_run_{0};
-  std::atomic<uint64_t> sessions_opened_{0};
   std::atomic<uint64_t> wal_records_appended_{0};
   std::atomic<uint64_t> checkpoints_completed_{0};
   std::atomic<uint64_t> checkpoints_failed_{0};

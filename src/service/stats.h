@@ -5,6 +5,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/storage/wal.h"
+
 namespace txml {
 
 /// Point-in-time counters of the sharded snapshot cache. A snapshot is
@@ -48,24 +50,13 @@ struct CommitShardStats {
   uint64_t waits = 0;
 };
 
-/// Counters of the sharded commit path + group commit (DESIGN.md §12).
-/// These replace the single-commit-lock gauges that stopped meaning
-/// anything once the exclusive lock was split into stripes.
-struct CommitPathStats {
+/// Counters of the sharded commit path + group commit (DESIGN.md §12):
+/// the group-commit batching gauges (zeros on an in-memory service; the
+/// amortization shows as records_written / syncs >> 1 in kAlways mode
+/// under concurrent writers) plus per-stripe contention.
+struct CommitPathStats : GroupCommitStats {
   /// Per-stripe contention, indexed by shard (size == commit_shards).
   std::vector<CommitShardStats> shards;
-  /// Group-commit batching (zeros on an in-memory service). The
-  /// amortization shows as records_written / syncs >> 1 in kAlways mode
-  /// under concurrent writers.
-  uint64_t batches_written = 0;
-  uint64_t records_written = 0;
-  uint64_t syncs = 0;
-  uint64_t max_batch_records = 0;
-  /// Batch sizes at powers of two: bucket 0 counts size-1 batches,
-  /// bucket 1 size 2, bucket 2 sizes 3-4, …, the last bucket everything
-  /// larger (see GroupCommitStats).
-  static constexpr size_t kBatchHistogramBuckets = 7;
-  uint64_t batch_size_histogram[kBatchHistogramBuckets] = {};
 };
 
 /// Replication-facing gauges (DESIGN.md §11). On a leader,
@@ -130,7 +121,6 @@ struct ServiceStats {
   /// Successful Vacuum() passes over the store (failed ones count as
   /// writes_failed — a vacuum holds every commit shard).
   uint64_t vacuums_run = 0;
-  uint64_t sessions_opened = 0;
   SnapshotCacheStats snapshot_cache;
   DurabilityStats durability;
   CommitPathStats commit_path;

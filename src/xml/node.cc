@@ -12,6 +12,17 @@ std::unique_ptr<XmlNode> XmlNode::Element(std::string name) {
       new XmlNode(Kind::kElement, std::move(name), ""));
 }
 
+std::unique_ptr<XmlNode> XmlNode::Element(
+    std::string name,
+    std::initializer_list<std::pair<std::string_view, std::string>>
+        attributes) {
+  std::unique_ptr<XmlNode> element = Element(std::move(name));
+  for (const auto& [attribute, value] : attributes) {
+    element->AddChild(Attribute(std::string(attribute), value));
+  }
+  return element;
+}
+
 std::unique_ptr<XmlNode> XmlNode::Text(std::string value) {
   return std::unique_ptr<XmlNode>(
       new XmlNode(Kind::kText, "", std::move(value)));

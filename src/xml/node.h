@@ -1,9 +1,11 @@
 #ifndef TXML_SRC_XML_NODE_H_
 #define TXML_SRC_XML_NODE_H_
 
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/util/timestamp.h"
@@ -32,6 +34,11 @@ class XmlNode {
   };
 
   static std::unique_ptr<XmlNode> Element(std::string name);
+  /// An element carrying `attributes` as attribute children, in order.
+  static std::unique_ptr<XmlNode> Element(
+      std::string name,
+      std::initializer_list<std::pair<std::string_view, std::string>>
+          attributes);
   static std::unique_ptr<XmlNode> Text(std::string value);
   static std::unique_ptr<XmlNode> Attribute(std::string name,
                                             std::string value);

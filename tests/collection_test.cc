@@ -90,13 +90,14 @@ TEST_F(CollectionTest, PredicatesAndJoinsAcrossCollections) {
 }
 
 TEST_F(CollectionTest, AggregateOverCollection) {
-  auto out = db_.QueryToString(
+  ExecStats stats;
+  auto out = db_.QueryAt(
       "SELECT COUNT(A) FROM collection(\"http://*\")[05/01/2001]/article A",
-      false);
+      db_.latest_commit(), &stats);
   ASSERT_TRUE(out.ok());
-  EXPECT_NE(out->find(">3<"), std::string::npos) << *out;
+  EXPECT_NE(out->ToString().find(">3<"), std::string::npos) << out->ToString();
   // No reconstruction needed for the collection-wide count either.
-  EXPECT_EQ(db_.last_query_stats().snapshot_reconstructions, 0u);
+  EXPECT_EQ(stats.snapshot_reconstructions, 0u);
 }
 
 }  // namespace

@@ -234,11 +234,17 @@ TEST_F(ExecutorTest, SnapshotBeforeCreationYieldsNoBindings) {
 }
 
 TEST_F(ExecutorTest, SkipReconstructionStat) {
-  ASSERT_TRUE(db_.Query("SELECT COUNT(I) FROM doc(\"u\")"
-                        "[05/01/2001]/item I").ok());
-  EXPECT_EQ(db_.last_query_stats().snapshot_reconstructions, 0u);
-  ASSERT_TRUE(db_.Query("SELECT I FROM doc(\"u\")[05/01/2001]/item I").ok());
-  EXPECT_GT(db_.last_query_stats().snapshot_reconstructions, 0u);
+  ExecStats count_stats;
+  ASSERT_TRUE(db_.QueryAt("SELECT COUNT(I) FROM doc(\"u\")"
+                          "[05/01/2001]/item I",
+                          db_.latest_commit(), &count_stats)
+                  .ok());
+  EXPECT_EQ(count_stats.snapshot_reconstructions, 0u);
+  ExecStats content_stats;
+  ASSERT_TRUE(db_.QueryAt("SELECT I FROM doc(\"u\")[05/01/2001]/item I",
+                          db_.latest_commit(), &content_stats)
+                  .ok());
+  EXPECT_GT(content_stats.snapshot_reconstructions, 0u);
 }
 
 TEST_F(ExecutorTest, DuplicateVariableRejected) {

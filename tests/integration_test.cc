@@ -73,11 +73,14 @@ TEST_F(PaperExamplesTest, Q1SnapshotListing) {
 // in many cases the storage of only deltas ... does not create performance
 // problems").
 TEST_F(PaperExamplesTest, Q2AggregateWithoutReconstruction) {
-  std::string out = Run("SELECT SUM(R) FROM doc(\"" + Url() +
-                        "\")[26/01/2001]/restaurant R");
+  const std::string sum =
+      "SELECT SUM(R) FROM doc(\"" + Url() + "\")[26/01/2001]/restaurant R";
+  std::string out = Run(sum);
   EXPECT_NE(out.find(">2<"), std::string::npos) << out;
   // The optimization: no snapshot was materialized.
-  EXPECT_EQ(db_.last_query_stats().snapshot_reconstructions, 0u);
+  ExecStats stats;
+  ASSERT_TRUE(db_.QueryAt(sum, db_.latest_commit(), &stats).ok());
+  EXPECT_EQ(stats.snapshot_reconstructions, 0u);
 
   // COUNT agrees.
   std::string count = Run("SELECT COUNT(R) FROM doc(\"" + Url() +

@@ -25,6 +25,7 @@
 #include "src/service/service.h"
 #include "src/util/coding.h"
 #include "src/util/random.h"
+#include "src/xml/parser.h"
 
 namespace txml {
 namespace {
@@ -1570,6 +1571,50 @@ TEST(NetTest, StatsRequestServesReplicationGauges) {
       << response->payload;
   EXPECT_NE(response->payload.find("read-only=\"false\""), std::string::npos)
       << response->payload;
+}
+
+TEST(NetTest, StatsFrameKeepsItsElementAndAttributeOrder) {
+  // Monitoring scripts key on the stats frame's names: pin every element
+  // and its attributes, in order, as a fresh server serves them after one
+  // query.
+  ServerFixture fixture;
+  PutGuideHistory(fixture.service.get());
+  auto client = fixture.Connect();
+  ASSERT_TRUE(client.ok());
+  QueryRequest request;
+  request.query_text = kPaperQueries[0];
+  ASSERT_TRUE(client->Execute(request).ok());
+  auto response = client->Stats();
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  auto parsed = ParseXml(response->payload);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+
+  std::vector<std::string> shape;
+  std::function<void(const XmlNode&)> walk = [&](const XmlNode& element) {
+    std::string line = element.name() + ":";
+    for (const auto& child : element.children()) {
+      if (child->is_attribute()) line += " " + child->name();
+    }
+    shape.push_back(line);
+    for (const auto& child : element.children()) {
+      if (child->is_element()) walk(*child);
+    }
+  };
+  walk(*parsed->root());
+  const std::vector<std::string> expected = {
+      "stats:",
+      "service: queries writes vacuums",
+      "durability: wal-last-sequence wal-bytes checkpoints",
+      "replication: last-committed-sequence last-checkpoint-sequence "
+      "replicated-applied replicated-skipped reseeds reseed-bytes read-only",
+      "commit-path: shards acquires waits batches records syncs max-batch",
+      "fti: main-postings differential-postings compactions",
+      "planner: scans-index scans-traversal lifetime-index "
+      "lifetime-traversal fallbacks",
+      "server: connections-accepted requests-served requests-failed "
+      "requests-rate-limited",
+  };
+  EXPECT_EQ(shape, expected) << response->payload;
 }
 
 }  // namespace

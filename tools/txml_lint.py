@@ -38,6 +38,13 @@ tier-1 ctest (tests/CMakeLists.txt) and as stage 7 of scripts/check.sh:
                   run (Put and Delete are runs of one; DESIGN.md §12),
                   and the retired single-commit names AllocateCommit( and
                   CommitPut( never come back.
+  one-xml-writer  No string literal opening an XML tag ("< then a letter)
+                  under src/service/, src/repl/ or in src/net/server.cc —
+                  every payload and stats element there is an XmlNode
+                  tree written by SerializeXml, which does the escaping —
+                  and the retired per-caller copies of a query's counters
+                  (ClientSession, OpenSession, last_query_stats) appear
+                  nowhere in src/: the counters live in the response.
 
 Usage:
   txml_lint.py [--root REPO_DIR]   lint the tree; exit 1 on any finding
@@ -70,6 +77,12 @@ DEFINITION_RE = re.compile(r"^[A-Za-z_][^(]*?(\w+)\s*\(")
 # A declaration names a return type right before the function name.
 DECLARATION_RE = re.compile(r"\b(?!return\b)\w+[\s*&]+$")
 COMMIT_PATH_OWNERS = ("CommitRun", "Vacuum")
+XML_TAG_LITERAL_RE = re.compile(r'"<[A-Za-z]')
+XML_WRITER_SCOPE = (os.path.join("src", "service") + os.sep,
+                    os.path.join("src", "repl") + os.sep,
+                    os.path.join("src", "net", "server.cc"))
+RETIRED_STATS_RE = re.compile(
+    r"\b(ClientSession|OpenSession|last_query_stats)\b")
 
 
 def strip_line_comment(line):
@@ -249,6 +262,29 @@ def check_one_commit_path(root):
     return findings
 
 
+def check_one_xml_writer(root):
+    """one-xml-writer: payloads are serialized trees, counters live in the
+    response."""
+    findings = []
+    for path in iter_source_files(root, "src"):
+        rel = relpath(root, path)
+        in_scope = rel.startswith(XML_WRITER_SCOPE)
+        with open(path, encoding="utf-8") as fp:
+            for lineno, line in enumerate(fp, 1):
+                for match in RETIRED_STATS_RE.finditer(line):
+                    findings.append(
+                        ("one-xml-writer", rel, lineno,
+                         f"{match.group(1)} is retired; a query's counters "
+                         "are the response's ExecStats"))
+                if in_scope and XML_TAG_LITERAL_RE.search(
+                        strip_line_comment(line)):
+                    findings.append(
+                        ("one-xml-writer", rel, lineno,
+                         "XML built from string literals; build an XmlNode "
+                         "tree and write it with SerializeXml"))
+    return findings
+
+
 CHECKS = (
     check_raw_primitives,
     check_frame_coverage,
@@ -256,6 +292,7 @@ CHECKS = (
     check_no_assert,
     check_one_chain_walker,
     check_one_commit_path,
+    check_one_xml_writer,
 )
 
 
@@ -339,6 +376,19 @@ def build_tree(root, seeded):
     # not calls.
     write(root, "src/storage/delta_chain_cursor.cc",
           "Status S() { return delta.ApplyForward(tree_.get(), &index_); }\n")
+    # one-xml-writer: payload tags in comments and XML text outside the
+    # service/repl/server scope are fine; a tag-opening literal in scope
+    # and a retired counter copy are not.
+    write(root, "src/repl/wal_shipper.cc",
+          "// answers with <followers>…</followers>\n"
+          "auto followers = XmlNode::Element(\"followers\");\n" +
+          ("std::string xml = \"<followers>\";\n" if seeded else ""))
+    write(root, "src/net/client.cc",
+          "const char* kProbe = \"<ping/>\";\n")
+    write(root, "src/core/database.h",
+          "  StatusOr<XmlDocument> Query(std::string_view text);\n" +
+          ("  const ExecStats& last_query_stats() const;\n"
+           if seeded else ""))
     write(root, "src/diff/edit_script.cc",
           "Status EditScript::ApplyForward(XmlNode* root,\n"
           "                                XidIndex* index) const {}\n")
@@ -366,7 +416,8 @@ def self_test():
         findings = run_lint(seeded)
         got_rules = {rule for rule, _, _, _ in findings}
         want_rules = {"raw-primitive", "frame-coverage", "lock-rank",
-                      "no-assert", "one-chain-walker", "one-commit-path"}
+                      "no-assert", "one-chain-walker", "one-commit-path",
+                      "one-xml-writer"}
         missing = want_rules - got_rules
         if missing:
             print(f"self-test FAILED: rules {sorted(missing)} did not "
