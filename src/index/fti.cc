@@ -1,5 +1,6 @@
 #include "src/index/fti.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "src/storage/delta_chain_cursor.h"
@@ -36,13 +37,20 @@ Posting* TemporalFullTextIndex::PostingOf(const OpenRef& ref) {
 template <typename Fn>
 void TemporalFullTextIndex::ForEachPosting(TermKind kind,
                                            const std::string& lowered,
+                                           const std::vector<DocId>* docs,
                                            Fn&& fn) const {
+  auto visit = [&](const std::vector<Posting>& list) {
+    for (const Posting& posting : list) {
+      if (docs == nullptr ||
+          std::binary_search(docs->begin(), docs->end(), posting.doc_id)) {
+        fn(posting);
+      }
+    }
+  };
   const PostingMap& main = MapFor(kind);
-  if (auto it = main.find(lowered); it != main.end()) {
-    for (const Posting& posting : it->second) fn(posting);
-  }
+  if (auto it = main.find(lowered); it != main.end()) visit(it->second);
   if (const std::vector<Posting>* adds = diff_.Find(kind, lowered)) {
-    for (const Posting& posting : *adds) fn(posting);
+    visit(*adds);
   }
 }
 
@@ -228,20 +236,22 @@ void TemporalFullTextIndex::RebuildOpenRefs() {
 }
 
 std::vector<const Posting*> TemporalFullTextIndex::LookupCurrent(
-    TermKind kind, std::string_view term) const {
+    TermKind kind, std::string_view term,
+    const std::vector<DocId>* docs) const {
   std::vector<const Posting*> result;
-  ForEachPosting(kind, ToLower(term), [&](const Posting& posting) {
+  ForEachPosting(kind, ToLower(term), docs, [&](const Posting& posting) {
     if (posting.OpenEnded()) result.push_back(&posting);
   });
   return result;
 }
 
 std::vector<const Posting*> TemporalFullTextIndex::LookupT(
-    TermKind kind, std::string_view term, Timestamp t) const {
+    TermKind kind, std::string_view term, Timestamp t,
+    const std::vector<DocId>* docs) const {
   std::vector<const Posting*> result;
   // Resolve time -> version once per document touched by this list.
   std::unordered_map<DocId, VersionNum> resolved;
-  ForEachPosting(kind, ToLower(term), [&](const Posting& posting) {
+  ForEachPosting(kind, ToLower(term), docs, [&](const Posting& posting) {
     auto cached = resolved.find(posting.doc_id);
     if (cached == resolved.end()) {
       VersionNum v = 0;  // 0 = document absent at t
@@ -262,9 +272,10 @@ std::vector<const Posting*> TemporalFullTextIndex::LookupT(
 }
 
 std::vector<const Posting*> TemporalFullTextIndex::LookupH(
-    TermKind kind, std::string_view term) const {
+    TermKind kind, std::string_view term,
+    const std::vector<DocId>* docs) const {
   std::vector<const Posting*> result;
-  ForEachPosting(kind, ToLower(term), [&](const Posting& posting) {
+  ForEachPosting(kind, ToLower(term), docs, [&](const Posting& posting) {
     result.push_back(&posting);
   });
   return result;

@@ -74,17 +74,25 @@ class TemporalFullTextIndex : public StoreObserver {
   /// below it are gone from the delta index).
   void OnHistoryVacuumed(const VersionedDocument& doc) override;
 
+  /// Each lookup takes an optional document restriction: when `docs` is
+  /// non-null (ascending, duplicate-free ids), postings of every other
+  /// document are skipped before any other work — LookupT resolves time to
+  /// version only for the named documents. Null means every document.
+
   /// FTI_lookup: postings valid in the current version of live documents.
-  std::vector<const Posting*> LookupCurrent(TermKind kind,
-                                            std::string_view term) const;
+  std::vector<const Posting*> LookupCurrent(
+      TermKind kind, std::string_view term,
+      const std::vector<DocId>* docs = nullptr) const;
 
   /// FTI_lookup_T: postings valid in the snapshot at time t.
-  std::vector<const Posting*> LookupT(TermKind kind, std::string_view term,
-                                      Timestamp t) const;
+  std::vector<const Posting*> LookupT(
+      TermKind kind, std::string_view term, Timestamp t,
+      const std::vector<DocId>* docs = nullptr) const;
 
   /// FTI_lookup_H: every posting for the term, all versions.
-  std::vector<const Posting*> LookupH(TermKind kind,
-                                      std::string_view term) const;
+  std::vector<const Posting*> LookupH(
+      TermKind kind, std::string_view term,
+      const std::vector<DocId>* docs = nullptr) const;
 
   /// Rebuilds an index from scratch by replaying a store's history (used
   /// after loading a persisted store).
@@ -148,11 +156,12 @@ class TemporalFullTextIndex : public StoreObserver {
   /// The open posting an OpenRef points at (main or differential half).
   Posting* PostingOf(const OpenRef& ref);
 
-  /// Visits the term's postings, main list first then differential — the
-  /// merged view every lookup uses. `lowered` must already be lower-cased.
+  /// Visits the term's postings of `docs` (null: of every document), main
+  /// list first then differential — the merged view every lookup uses.
+  /// `lowered` must already be lower-cased.
   template <typename Fn>
   void ForEachPosting(TermKind kind, const std::string& lowered,
-                      Fn&& fn) const;
+                      const std::vector<DocId>* docs, Fn&& fn) const;
 
   const VersionedDocumentStore* store_;
   /// Main (compacted) halves: append-free between compactions.

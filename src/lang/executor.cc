@@ -4,6 +4,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -33,6 +34,34 @@ struct Binding {
 
 /// A row of the (conceptual) cross product: one binding per FROM item.
 using Row = std::vector<const Binding*>;
+
+/// A scan's matches split per document in one pass. Both scan arms emit
+/// each document's matches contiguously, so a document's slice keeps the
+/// scan's order.
+class MatchesByDoc {
+ public:
+  explicit MatchesByDoc(const std::vector<ScanMatch>& matches) {
+    const std::span<const ScanMatch> all(matches);
+    for (size_t begin = 0; begin < all.size();) {
+      size_t end = begin + 1;
+      while (end < all.size() && all[end].doc_id == all[begin].doc_id) ++end;
+      const bool first_run =
+          slices_.emplace(all[begin].doc_id, all.subspan(begin, end - begin))
+              .second;
+      TXML_CHECK(first_run);
+      begin = end;
+    }
+  }
+
+  /// `doc`'s matches; empty when it has none.
+  std::span<const ScanMatch> Of(const VersionedDocument& doc) const {
+    auto it = slices_.find(doc.doc_id());
+    return it == slices_.end() ? std::span<const ScanMatch>() : it->second;
+  }
+
+ private:
+  std::unordered_map<DocId, std::span<const ScanMatch>> slices_;
+};
 
 /// Runtime value of an expression.
 struct Value {
@@ -517,10 +546,11 @@ class Execution {
     TXML_ASSIGN_OR_RETURN(Pattern pattern, BuildPattern(item));
     bool need_tree = needs_tree_.contains(item.var);
 
-    // One scan serves every document of the source; matches are
-    // partitioned per document below. The planner picks the scan's arm per
-    // FROM item: the FTI multiway join, or direct pattern matching over
-    // materialized trees (the only arm that works without an index).
+    // One scan over the source's documents serves all of them; its
+    // matches are partitioned per document once, below. The planner picks
+    // the scan's arm per FROM item: the FTI multiway join, or direct
+    // pattern matching over materialized trees (the only arm that works
+    // without an index).
     switch (item.mode) {
       case FromItem::Mode::kCurrent: {
         const ScanPlan plan = PlanScan(ctx_, pattern, ScanKind::kCurrent,
@@ -530,10 +560,11 @@ class Execution {
             std::vector<ScanMatch> matches,
             plan.strategy == ScanStrategy::kTraversal
                 ? PatternScanCurrentTraversal(ctx_, pattern, docs)
-                : PatternScanCurrent(ctx_, pattern));
+                : PatternScanCurrent(ctx_, pattern, docs));
+        const MatchesByDoc by_doc(matches);
         for (const VersionedDocument* doc : docs) {
           TXML_RETURN_IF_ERROR(BindSnapshotMatches(
-              matches, pattern, *doc, need_tree,
+              by_doc.Of(*doc), pattern, *doc, need_tree,
               /*snapshot_version=*/doc->version_count(), out));
         }
         return Status::OK();
@@ -547,14 +578,15 @@ class Execution {
             std::vector<ScanMatch> matches,
             plan.strategy == ScanStrategy::kTraversal
                 ? TPatternScanTraversal(ctx_, pattern, t, docs)
-                : TPatternScan(ctx_, pattern, t));
+                : TPatternScan(ctx_, pattern, t, docs));
+        const MatchesByDoc by_doc(matches);
         for (const VersionedDocument* doc : docs) {
           auto version = doc->delta_index().VersionAt(t);
           if (!version.has_value() || !doc->ExistsAt(t)) {
             continue;  // this document absent at t
           }
-          TXML_RETURN_IF_ERROR(BindSnapshotMatches(matches, pattern, *doc,
-                                                   need_tree, *version, out));
+          TXML_RETURN_IF_ERROR(BindSnapshotMatches(
+              by_doc.Of(*doc), pattern, *doc, need_tree, *version, out));
         }
         return Status::OK();
       }
@@ -566,10 +598,11 @@ class Execution {
             std::vector<ScanMatch> matches,
             plan.strategy == ScanStrategy::kTraversal
                 ? TPatternScanAllTraversal(ctx_, pattern, docs)
-                : TPatternScanAll(ctx_, pattern));
+                : TPatternScanAll(ctx_, pattern, docs));
+        const MatchesByDoc by_doc(matches);
         for (const VersionedDocument* doc : docs) {
-          TXML_RETURN_IF_ERROR(
-              BindEveryMatches(matches, pattern, *doc, need_tree, out));
+          TXML_RETURN_IF_ERROR(BindEveryMatches(by_doc.Of(*doc), pattern,
+                                                *doc, need_tree, out));
         }
         return Status::OK();
       }
@@ -595,14 +628,14 @@ class Execution {
     return strategy;
   }
 
-  Status BindSnapshotMatches(const std::vector<ScanMatch>& matches,
+  /// `matches` are `doc`'s own.
+  Status BindSnapshotMatches(std::span<const ScanMatch> matches,
                              const Pattern& pattern,
                              const VersionedDocument& doc, bool need_tree,
                              VersionNum snapshot_version,
                              std::vector<Binding>* out) {
     std::set<Xid> seen;
     for (const ScanMatch& match : matches) {
-      if (match.doc_id != doc.doc_id()) continue;
       Teid teid = match.ProjectedTeid(pattern);
       if (!seen.insert(teid.eid.xid).second) continue;  // distinct elements
       Binding binding;
@@ -632,7 +665,8 @@ class Execution {
     return Status::OK();
   }
 
-  Status BindEveryMatches(const std::vector<ScanMatch>& matches,
+  /// `matches` are `doc`'s own.
+  Status BindEveryMatches(std::span<const ScanMatch> matches,
                           const Pattern& pattern,
                           const VersionedDocument& doc, bool need_tree,
                           std::vector<Binding>* out) {
@@ -654,7 +688,6 @@ class Execution {
     Timestamp lo = Timestamp::Infinity();
     Timestamp hi = Timestamp::NegInfinity();
     for (const ScanMatch& match : matches) {
-      if (match.doc_id != doc.doc_id()) continue;
       Teid teid = match.ProjectedTeid(pattern);
       elements[teid.eid.xid].runs.push_back(match.validity);
       if (match.validity.start < lo) lo = match.validity.start;

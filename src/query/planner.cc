@@ -28,9 +28,9 @@ ScanPlan PlanScan(const QueryContext& ctx, const Pattern& pattern,
   ScanPlan plan;
   const bool have_index = ctx.fti != nullptr;
 
-  // Index arm: candidate postings fed into the multiway join. The FTI is
-  // global, so posting counts span *all* documents — which is exactly why
-  // a single-document query over a hot term can lose to traversal.
+  // Index arm: postings of the pattern's terms. The counts span *all*
+  // documents although the scan reads only those of `docs`, so a query
+  // naming few documents of many overprices this arm (DESIGN.md §13).
   if (have_index) {
     for (const PatternNode* node : pattern.NodesPreorder()) {
       TermKind term_kind = node->test == PatternNode::Test::kElementName
@@ -54,7 +54,6 @@ ScanPlan PlanScan(const QueryContext& ctx, const Pattern& pattern,
         plan.traversal_cost += per_version * kReconstructPenalty;
         break;
       case ScanKind::kAll:
-      case ScanKind::kRange:
         plan.traversal_cost += per_version * kReconstructPenalty *
                                static_cast<double>(RetainedVersionCount(*doc));
         break;

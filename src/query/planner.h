@@ -24,7 +24,7 @@ enum class ScanStrategy {
 
 /// Which temporal scan the FROM item needs (affects how many versions the
 /// traversal arm would have to materialize).
-enum class ScanKind { kCurrent, kSnapshot, kAll, kRange };
+enum class ScanKind { kCurrent, kSnapshot, kAll };
 
 /// One scan decision with the costs that produced it — surfaced through
 /// EXPLAIN and tallied into ExecStats.

@@ -1,5 +1,6 @@
 #include "src/query/scan.h"
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <string>
@@ -16,8 +17,8 @@
 namespace txml {
 namespace {
 
-/// Per-document candidate postings for every pattern node.
-using DocCandidates = std::map<DocId, std::vector<std::vector<const Posting*>>>;
+/// Candidate postings for every pattern node, within one document.
+using NodeCandidates = std::vector<std::vector<const Posting*>>;
 
 /// Pattern nodes in id order plus each node's parent id (-1 for the root).
 struct PatternShape {
@@ -158,36 +159,48 @@ class DocJoiner {
   std::vector<const Posting*> chosen_;
 };
 
-/// Looks up postings per pattern node with `lookup`, groups them by
-/// document, joins per document, then resolves version runs to time
-/// intervals through the delta indexes.
+/// Looks up postings per pattern node with `lookup`, restricted to the
+/// documents of `docs`, groups them by document, joins per document in
+/// ascending id order, then resolves version runs to time intervals
+/// through the delta indexes. No posting of another document is grouped,
+/// joined or resolved.
 template <typename LookupFn>
-StatusOr<std::vector<ScanMatch>> ScanWith(const QueryContext& ctx,
-                                          const Pattern& pattern,
-                                          LookupFn lookup) {
+StatusOr<std::vector<ScanMatch>> ScanWith(
+    const QueryContext& ctx, const Pattern& pattern,
+    const std::vector<const VersionedDocument*>& docs, LookupFn lookup) {
   std::vector<ScanMatch> results;
   if (pattern.empty()) return results;
   TXML_CHECK(ctx.store != nullptr && ctx.fti != nullptr);
 
+  // The lookups' restriction: the named ids, ascending. A posting's
+  // position in it is its document's grouping slot.
+  std::vector<DocId> ids;
+  ids.reserve(docs.size());
+  for (const VersionedDocument* doc : docs) ids.push_back(doc->doc_id());
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+
   PatternShape shape = ShapeOf(pattern);
   size_t node_count = shape.nodes.size();
 
-  DocCandidates by_doc;
+  std::vector<NodeCandidates> by_doc(ids.size());
   for (size_t i = 0; i < node_count; ++i) {
     const PatternNode& pnode = *shape.nodes[i];
     TermKind kind = pnode.test == PatternNode::Test::kElementName
                         ? TermKind::kElementName
                         : TermKind::kWord;
-    for (const Posting* posting : lookup(kind, pnode.term)) {
-      auto& lists = by_doc[posting->doc_id];
+    for (const Posting* posting : lookup(kind, pnode.term, &ids)) {
+      auto slot = std::lower_bound(ids.begin(), ids.end(), posting->doc_id);
+      TXML_DCHECK(slot != ids.end() && *slot == posting->doc_id);
+      NodeCandidates& lists = by_doc[static_cast<size_t>(slot - ids.begin())];
       if (lists.empty()) lists.resize(node_count);
       lists[i].push_back(posting);
     }
   }
 
-  for (auto& [doc_id, lists] : by_doc) {
+  for (const NodeCandidates& lists : by_doc) {
     // Every pattern node needs at least one candidate in this document.
-    bool complete = true;
+    bool complete = !lists.empty();
     for (const auto& list : lists) {
       if (list.empty()) {
         complete = false;
@@ -202,35 +215,47 @@ StatusOr<std::vector<ScanMatch>> ScanWith(const QueryContext& ctx,
   return results;
 }
 
+std::vector<const VersionedDocument*> AllDocuments(const QueryContext& ctx) {
+  TXML_CHECK(ctx.store != nullptr);
+  return ctx.store->AllDocuments();
+}
+
 }  // namespace
 
-StatusOr<std::vector<ScanMatch>> PatternScanCurrent(const QueryContext& ctx,
-                                                    const Pattern& pattern) {
-  return ScanWith(ctx, pattern, [&](TermKind kind, const std::string& term) {
-    return ctx.fti->LookupCurrent(kind, term);
-  });
+StatusOr<std::vector<ScanMatch>> PatternScanCurrent(
+    const QueryContext& ctx, const Pattern& pattern,
+    const std::vector<const VersionedDocument*>& docs) {
+  return ScanWith(ctx, pattern, docs,
+                  [&](TermKind kind, const std::string& term,
+                      const std::vector<DocId>* ids) {
+                    return ctx.fti->LookupCurrent(kind, term, ids);
+                  });
 }
 
-StatusOr<std::vector<ScanMatch>> TPatternScan(const QueryContext& ctx,
-                                              const Pattern& pattern,
-                                              Timestamp t) {
-  return ScanWith(ctx, pattern, [&](TermKind kind, const std::string& term) {
-    return ctx.fti->LookupT(kind, term, t);
-  });
+StatusOr<std::vector<ScanMatch>> TPatternScan(
+    const QueryContext& ctx, const Pattern& pattern, Timestamp t,
+    const std::vector<const VersionedDocument*>& docs) {
+  return ScanWith(ctx, pattern, docs,
+                  [&](TermKind kind, const std::string& term,
+                      const std::vector<DocId>* ids) {
+                    return ctx.fti->LookupT(kind, term, t, ids);
+                  });
 }
 
-StatusOr<std::vector<ScanMatch>> TPatternScanAll(const QueryContext& ctx,
-                                                 const Pattern& pattern) {
-  return ScanWith(ctx, pattern, [&](TermKind kind, const std::string& term) {
-    return ctx.fti->LookupH(kind, term);
-  });
+StatusOr<std::vector<ScanMatch>> TPatternScanAll(
+    const QueryContext& ctx, const Pattern& pattern,
+    const std::vector<const VersionedDocument*>& docs) {
+  return ScanWith(ctx, pattern, docs,
+                  [&](TermKind kind, const std::string& term,
+                      const std::vector<DocId>* ids) {
+                    return ctx.fti->LookupH(kind, term, ids);
+                  });
 }
 
-StatusOr<std::vector<ScanMatch>> TPatternScanRange(const QueryContext& ctx,
-                                                   const Pattern& pattern,
-                                                   Timestamp t1,
-                                                   Timestamp t2) {
-  auto all = TPatternScanAll(ctx, pattern);
+StatusOr<std::vector<ScanMatch>> TPatternScanRange(
+    const QueryContext& ctx, const Pattern& pattern, Timestamp t1,
+    Timestamp t2, const std::vector<const VersionedDocument*>& docs) {
+  auto all = TPatternScanAll(ctx, pattern, docs);
   if (!all.ok()) return all.status();
   TimeInterval window{t1, t2};
   std::vector<ScanMatch> filtered;
@@ -240,6 +265,29 @@ StatusOr<std::vector<ScanMatch>> TPatternScanRange(const QueryContext& ctx,
     }
   }
   return filtered;
+}
+
+StatusOr<std::vector<ScanMatch>> PatternScanCurrent(const QueryContext& ctx,
+                                                    const Pattern& pattern) {
+  return PatternScanCurrent(ctx, pattern, AllDocuments(ctx));
+}
+
+StatusOr<std::vector<ScanMatch>> TPatternScan(const QueryContext& ctx,
+                                              const Pattern& pattern,
+                                              Timestamp t) {
+  return TPatternScan(ctx, pattern, t, AllDocuments(ctx));
+}
+
+StatusOr<std::vector<ScanMatch>> TPatternScanAll(const QueryContext& ctx,
+                                                 const Pattern& pattern) {
+  return TPatternScanAll(ctx, pattern, AllDocuments(ctx));
+}
+
+StatusOr<std::vector<ScanMatch>> TPatternScanRange(const QueryContext& ctx,
+                                                   const Pattern& pattern,
+                                                   Timestamp t1,
+                                                   Timestamp t2) {
+  return TPatternScanRange(ctx, pattern, t1, t2, AllDocuments(ctx));
 }
 
 namespace {
@@ -431,21 +479,6 @@ StatusOr<std::vector<ScanMatch>> TPatternScanAllTraversal(
   }
   ResolveValidity(ctx, &results);
   return results;
-}
-
-StatusOr<std::vector<ScanMatch>> TPatternScanRangeTraversal(
-    const QueryContext& ctx, const Pattern& pattern, Timestamp t1,
-    Timestamp t2, const std::vector<const VersionedDocument*>& docs) {
-  auto all = TPatternScanAllTraversal(ctx, pattern, docs);
-  if (!all.ok()) return all.status();
-  TimeInterval window{t1, t2};
-  std::vector<ScanMatch> filtered;
-  for (ScanMatch& match : *all) {
-    if (match.validity.Overlaps(window)) {
-      filtered.push_back(std::move(match));
-    }
-  }
-  return filtered;
 }
 
 }  // namespace txml

@@ -57,14 +57,28 @@ struct ScanMatch {
   }
 };
 
+/// The index-join scans of Section 7.3. Each reads, groups and joins the
+/// postings of `docs` only (the FROM-resolved set, the same parameter the
+/// traversal arms take): the FTI lookups skip every other document's
+/// postings. Rows come in ascending document id, then posting order
+/// within a document, so a scan over `docs` returns exactly the rows of
+/// the corpus-wide scan whose doc_id is in `docs`. The overloads without
+/// `docs` scan every document of the store.
+
 /// PatternScan over current versions only (the non-temporal operator of
 /// Aguilera et al. that the temporal operators extend): FTI_lookup per
 /// pattern word, then a multiway join on (document, relationship).
+StatusOr<std::vector<ScanMatch>> PatternScanCurrent(
+    const QueryContext& ctx, const Pattern& pattern,
+    const std::vector<const VersionedDocument*>& docs);
 StatusOr<std::vector<ScanMatch>> PatternScanCurrent(const QueryContext& ctx,
                                                     const Pattern& pattern);
 
 /// TPatternScan(Δ, pattern, t) — Section 7.3.1: like PatternScan but using
 /// FTI_lookup_T, considering only entries valid at time t.
+StatusOr<std::vector<ScanMatch>> TPatternScan(
+    const QueryContext& ctx, const Pattern& pattern, Timestamp t,
+    const std::vector<const VersionedDocument*>& docs);
 StatusOr<std::vector<ScanMatch>> TPatternScan(const QueryContext& ctx,
                                               const Pattern& pattern,
                                               Timestamp t);
@@ -72,26 +86,31 @@ StatusOr<std::vector<ScanMatch>> TPatternScan(const QueryContext& ctx,
 /// TPatternScanAll(Δ, pattern) — Section 7.3.2: FTI_lookup_H per word and a
 /// temporal multiway join — the relationship predicates plus "words in the
 /// pattern valid at the same time" (non-empty version-range intersection).
+StatusOr<std::vector<ScanMatch>> TPatternScanAll(
+    const QueryContext& ctx, const Pattern& pattern,
+    const std::vector<const VersionedDocument*>& docs);
 StatusOr<std::vector<ScanMatch>> TPatternScanAll(const QueryContext& ctx,
                                                  const Pattern& pattern);
 
 /// TPatternScanAll restricted to matches whose validity overlaps
 /// [t1, t2) — used by range-restricted history queries.
+StatusOr<std::vector<ScanMatch>> TPatternScanRange(
+    const QueryContext& ctx, const Pattern& pattern, Timestamp t1,
+    Timestamp t2, const std::vector<const VersionedDocument*>& docs);
 StatusOr<std::vector<ScanMatch>> TPatternScanRange(const QueryContext& ctx,
                                                    const Pattern& pattern,
                                                    Timestamp t1,
                                                    Timestamp t2);
 
-/// Traversal ("stratum") variants of the scans above: materialize the
-/// relevant version(s) of each resolved document and evaluate the pattern
-/// directly with MatchPattern — no FTI involved. They emit the same
-/// ScanMatch rows (TPatternScanAllTraversal coalesces each embedding's
-/// maximal run of consecutive retained versions, mirroring the posting
-/// runs the index join intersects). The cost-based planner
-/// (src/query/planner.h) picks between these and the index joins per
-/// query; they are also each other's oracle in tests. Unlike the global
-/// index scans, the traversals only visit `docs` (the FROM-resolved set —
-/// the executor filters index-scan output to the same set).
+/// Traversal ("stratum") variants of the snapshot, current and history
+/// scans: materialize the relevant version(s) of each document of `docs`
+/// and evaluate the pattern directly with MatchPattern — no FTI involved.
+/// They emit the same ScanMatch rows as the index scans over the same
+/// `docs` (TPatternScanAllTraversal coalesces each embedding's maximal run
+/// of consecutive retained versions, mirroring the posting runs the index
+/// join intersects). The cost-based planner (src/query/planner.h) picks
+/// between these and the index joins per query; they are also each
+/// other's oracle in tests.
 StatusOr<std::vector<ScanMatch>> PatternScanCurrentTraversal(
     const QueryContext& ctx, const Pattern& pattern,
     const std::vector<const VersionedDocument*>& docs);
@@ -101,9 +120,6 @@ StatusOr<std::vector<ScanMatch>> TPatternScanTraversal(
 StatusOr<std::vector<ScanMatch>> TPatternScanAllTraversal(
     const QueryContext& ctx, const Pattern& pattern,
     const std::vector<const VersionedDocument*>& docs);
-StatusOr<std::vector<ScanMatch>> TPatternScanRangeTraversal(
-    const QueryContext& ctx, const Pattern& pattern, Timestamp t1,
-    Timestamp t2, const std::vector<const VersionedDocument*>& docs);
 
 }  // namespace txml
 

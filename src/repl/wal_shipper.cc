@@ -19,16 +19,19 @@ void WalShipper::Serve(Socket* socket, const ReplSubscribeRequest& subscribe) {
     return;
   }
 
-  uint64_t slot;
+  // A named follower keeps one row across reconnects; each anonymous
+  // subscription gets a row of its own.
+  std::string name = subscribe.follower_name;
   {
     MutexLock lock(mu_);
-    slot = next_slot_++;
-    FollowerState& state = followers_[slot];
-    state.name = subscribe.follower_name.empty() ? "follower-" +
-                                                       std::to_string(slot)
-                                                 : subscribe.follower_name;
-    state.connected = true;
-    state.acked_sequence = subscribe.from_sequence;
+    if (name.empty()) {
+      name = "follower-";
+      name += std::to_string(anonymous_count_++);
+    }
+    Row& row = RowFor(name);
+    ++row.conversations;
+    row.state.connected = true;
+    row.state.acked_sequence = subscribe.from_sequence;
   }
 
   uint64_t cursor = subscribe.from_sequence;
@@ -72,7 +75,7 @@ void WalShipper::Serve(Socket* socket, const ReplSubscribeRequest& subscribe) {
           batch.records.push_back(record);
         }
         if (batch.records.empty()) break;
-        alive = ShipBatch(socket, slot, std::move(batch), &cursor);
+        alive = ShipBatch(socket, name, std::move(batch), &cursor);
       }
       continue;
     }
@@ -84,40 +87,39 @@ void WalShipper::Serve(Socket* socket, const ReplSubscribeRequest& subscribe) {
       alive = WriteFrame(socket, FrameType::kReplHeartbeat,
                          EncodeReplHeartbeat(heartbeat))
                   .ok() &&
-              ReadAck(socket, slot);
+              ReadAck(socket, name);
       continue;
     }
     ReplBatch batch;
     batch.records = std::move(read.records);
-    alive = ShipBatch(socket, slot, std::move(batch), &cursor);
+    alive = ShipBatch(socket, name, std::move(batch), &cursor);
   }
 
   MutexLock lock(mu_);
-  followers_[slot].connected = false;
+  Row& row = RowFor(name);
+  // A reconnect may overlap the old conversation's end: the row stays
+  // connected while any conversation of the name is open.
+  row.state.connected = --row.conversations > 0;
 }
 
-bool WalShipper::ShipBatch(Socket* socket, uint64_t slot, ReplBatch batch,
-                           uint64_t* cursor) {
+bool WalShipper::ShipBatch(Socket* socket, const std::string& name,
+                           ReplBatch batch, uint64_t* cursor) {
   batch.leader_last_sequence = service_->applied_sequence();
   uint64_t last = batch.records.back().sequence;
   if (!WriteFrame(socket, FrameType::kReplBatch, EncodeReplBatch(batch)).ok()) {
     return false;
   }
-  if (!ReadAck(socket, slot)) return false;
+  if (!ReadAck(socket, name)) return false;
   *cursor = last;
   MutexLock lock(mu_);
-  followers_[slot].batches_sent++;
+  RowFor(name).state.batches_sent++;
   return true;
 }
 
-uint64_t WalShipper::SlotForName(const std::string& name) {
-  MutexLock lock(mu_);
-  for (auto& [slot, state] : followers_) {
-    if (state.name == name) return slot;
-  }
-  uint64_t slot = next_slot_++;
-  followers_[slot].name = name;
-  return slot;
+WalShipper::Row& WalShipper::RowFor(const std::string& name) {
+  auto [it, inserted] = followers_.try_emplace(name);
+  if (inserted) it->second.state.name = name;
+  return it->second;
 }
 
 void WalShipper::ServeCheckpoint(Socket* socket,
@@ -160,8 +162,12 @@ void WalShipper::ServeCheckpoint(Socket* socket,
       request.resume_crc32c == meta.archive_crc32c) {
     meta.start_offset = request.resume_offset;
   }
-  const uint64_t slot = SlotForName(
-      request.follower_name.empty() ? "follower-reseed" : request.follower_name);
+  const std::string name =
+      request.follower_name.empty() ? "follower-reseed" : request.follower_name;
+  {
+    MutexLock lock(mu_);
+    RowFor(name);  // the re-seed joins the follower's row
+  }
   if (!WriteFrame(socket, FrameType::kCheckpointMeta, EncodeCheckpointMeta(meta))
            .ok()) {
     return;
@@ -196,19 +202,19 @@ void WalShipper::ServeCheckpoint(Socket* socket,
     if (!ack.ok() || ack->applied_sequence != offset) break;
   }
   MutexLock lock(mu_);
-  FollowerState& state = followers_[slot];
+  FollowerState& state = RowFor(name).state;
   state.checkpoint_bytes_sent += sent;
   if (offset >= meta.total_bytes) state.checkpoints_served++;
 }
 
-bool WalShipper::ReadAck(Socket* socket, uint64_t slot) {
+bool WalShipper::ReadAck(Socket* socket, const std::string& name) {
   auto frame = ReadFrame(socket, kDefaultMaxFrameBytes);
   if (!frame.ok() || frame->type != FrameType::kReplAck) return false;
   auto ack = DecodeReplAck(frame->payload);
   if (!ack.ok()) return false;
   uint64_t leader_last = service_->applied_sequence();
   MutexLock lock(mu_);
-  FollowerState& state = followers_[slot];
+  FollowerState& state = RowFor(name).state;
   state.acked_sequence = std::max(state.acked_sequence, ack->applied_sequence);
   state.lag = leader_last > state.acked_sequence
                   ? leader_last - state.acked_sequence
@@ -220,7 +226,7 @@ std::vector<WalShipper::FollowerState> WalShipper::Followers() const {
   MutexLock lock(mu_);
   std::vector<FollowerState> result;
   result.reserve(followers_.size());
-  for (const auto& [slot, state] : followers_) result.push_back(state);
+  for (const auto& [name, row] : followers_) result.push_back(row.state);
   return result;
 }
 

@@ -3,9 +3,9 @@
 
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/net/socket.h"
@@ -97,29 +97,37 @@ class WalShipper {
   /// each tail read). Idempotent.
   void Stop() { stopping_.store(true); }
 
+  /// One row per follower name, in name order.
   std::vector<FollowerState> Followers() const EXCLUDES(mu_);
 
   /// The `<followers>` element of the server's stats document.
   std::unique_ptr<XmlNode> StatsElement() const EXCLUDES(mu_);
 
  private:
+  /// One follower's stats row and how many of its conversations are open.
+  struct Row {
+    FollowerState state;
+    int conversations = 0;
+  };
+
   /// Sends one batch and waits for the follower's ack; false ends Serve.
-  bool ShipBatch(Socket* socket, uint64_t slot, ReplBatch batch,
+  bool ShipBatch(Socket* socket, const std::string& name, ReplBatch batch,
                  uint64_t* cursor) EXCLUDES(mu_);
-  bool ReadAck(Socket* socket, uint64_t slot) EXCLUDES(mu_);
-  /// Finds the stats slot carrying `name` (the re-seed conversation joins
-  /// the follower's existing row) or creates one.
-  uint64_t SlotForName(const std::string& name) EXCLUDES(mu_);
+  bool ReadAck(Socket* socket, const std::string& name) EXCLUDES(mu_);
+  /// The row of follower `name`, created on first use: every subscription
+  /// and re-seed of one follower name shares it.
+  Row& RowFor(const std::string& name) REQUIRES(mu_);
 
   TemporalQueryService* service_;
   Options options_;
   std::atomic<bool> stopping_{false};
 
   mutable Mutex mu_{LockRank::kReplShipper};
-  /// Live and past follower slots (kept after disconnect so stats show
-  /// the last known lag; keyed by a monotonically assigned slot id).
-  std::unordered_map<uint64_t, FollowerState> followers_ GUARDED_BY(mu_);
-  uint64_t next_slot_ GUARDED_BY(mu_) = 0;
+  /// Live and past followers by name, kept after disconnect so stats show
+  /// the last known lag. Ordered, so stats list them by name.
+  std::map<std::string, Row> followers_ GUARDED_BY(mu_);
+  /// Numbers the rows of subscriptions that give no follower name.
+  uint64_t anonymous_count_ GUARDED_BY(mu_) = 0;
 };
 
 /// The archive a checkpoint transfer streams: the image's file contents

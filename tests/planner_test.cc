@@ -90,6 +90,63 @@ TEST(PlannerTest, PinnedArmsAgreeAndAutoMatches) {
             index_stats.scans_index + index_stats.scans_traversal);
 }
 
+// The index arm joins only the FROM item's documents; over a store where
+// every document holds the queried terms, it must still answer exactly
+// like traversal for doc(...) and collection("p*") items in every mode —
+// including a deleted document inside the collection.
+TEST(PlannerTest, PinnedArmsAgreeOverManyDocuments) {
+  TemporalXmlDatabase db;
+  for (int d = 0; d < 9; ++d) {
+    std::string url = d < 6 ? "p" : "q";
+    url += std::to_string(d);
+    for (int v = 1; v <= 4; ++v) {
+      std::string xml = "<guide>";
+      for (int i = 1; i <= v + d % 3; ++i) {
+        xml += "<item><name>n" + std::to_string(i) + "</name><price>" +
+               std::to_string(10 * i + v + d) + "</price></item>";
+      }
+      ASSERT_TRUE(db.PutDocumentAt(url, xml + "</guide>", Day(d + 3 * v))
+                      .ok());
+    }
+  }
+  ASSERT_TRUE(db.DeleteDocumentAt("p4", Day(20)).ok());
+
+  const std::vector<std::string> queries = {
+      "SELECT R/price FROM doc(\"p2\")/item R",
+      "SELECT R/price FROM doc(\"p2\")/item R WHERE R/name = \"n2\"",
+      "SELECT R/name FROM doc(\"q7\")[12/01/2001]/item R",
+      "SELECT COUNT(R) FROM doc(\"p3\")[10/01/2001]/item R",
+      "SELECT TIME(R), R/price FROM doc(\"p1\")[EVERY]/item R "
+      "WHERE R/name = \"n2\"",
+      "SELECT R/price FROM collection(\"p*\")/item R WHERE R/name = \"n1\"",
+      "SELECT R/name, R/price FROM collection(\"p*\")[15/01/2001]/item R",
+      "SELECT COUNT(R) FROM collection(\"p*\")[18/01/2001]/item R "
+      "WHERE R/name = \"n3\"",
+      "SELECT TIME(R), R/price FROM collection(\"p*\")[EVERY]/item R "
+      "WHERE R/name = \"n2\"",
+      "SELECT CREATE TIME(R) FROM collection(\"p*\")[EVERY]/item R",
+  };
+  for (const std::string& query : queries) {
+    std::string answers[2];
+    for (int arm = 0; arm < 2; ++arm) {
+      ExecOptions options;
+      options.now = Day(30);
+      options.scan_strategy =
+          arm == 0 ? ScanStrategy::kIndex : ScanStrategy::kTraversal;
+      ExecStats stats;
+      auto result =
+          QueryExecutor(db.Context(), options).Execute(query, &stats);
+      ASSERT_TRUE(result.ok()) << query << " -> " << result.status().ToString();
+      EXPECT_EQ(arm == 0 ? stats.scans_index : stats.scans_traversal, 1u)
+          << query;
+      answers[arm] = result->ToString();
+    }
+    EXPECT_NE(answers[0].find("<result"), std::string::npos)
+        << query << " answered nothing: " << answers[0];
+    EXPECT_EQ(answers[0], answers[1]) << query;
+  }
+}
+
 // Regression: a pinned kIndex lifetime strategy on a database built
 // without the lifetime index used to hit a TXML_CHECK on the null index
 // pointer and abort. It must degrade to traversal, answer correctly, and

@@ -866,6 +866,52 @@ TEST(ReplicationTest, LeaderStatsReportFollowerLag) {
   EXPECT_EQ(follower_stats.replication.replicated_records_skipped, 0u);
 }
 
+TEST(ReplicationTest, ReconnectingFollowerKeepsOneStatsRow) {
+  // A named follower that reconnects keeps one row on the leader: the row
+  // is reused (connected again) and its counters keep accumulating.
+  auto leader = StartLeader(TempDir("reconnect_leader"));
+  ASSERT_NE(leader, nullptr);
+  const std::string follower_dir = TempDir("reconnect_f1");
+  uint64_t batches_before = 0;
+  for (int day = 1; day <= 3; ++day) {
+    auto follower = StartFollower(follower_dir, leader->port(), "again",
+                                  /*with_server=*/false);
+    ASSERT_NE(follower, nullptr);
+    leader->Put(day);
+    ASSERT_TRUE(AwaitSequence(follower->service.get(),
+                              static_cast<uint64_t>(day)));
+    // The ack that follows the apply credits the batch to the row.
+    uint64_t batches = 0;
+    bool connected = false;
+    for (int i = 0; i < 500 && (batches <= batches_before || !connected);
+         ++i) {
+      for (const auto& state : leader->shipper->Followers()) {
+        if (state.name != "again") continue;
+        batches = state.batches_sent;
+        connected = state.connected;
+      }
+      if (batches <= batches_before || !connected) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      }
+    }
+    EXPECT_GT(batches, batches_before) << "connection " << day;
+    EXPECT_TRUE(connected) << "connection " << day;
+    batches_before = batches;
+  }  // each follower disconnects at the end of its round
+
+  size_t rows = 0;
+  for (const auto& state : leader->shipper->Followers()) {
+    rows += state.name == "again" ? 1 : 0;
+  }
+  EXPECT_EQ(rows, 1u);
+  const std::string xml = leader->shipper->StatsElement()->ToString();
+  EXPECT_EQ(xml.find("name=\"again\""), xml.rfind("name=\"again\"")) << xml;
+  EXPECT_NE(xml.find("batches-sent=\"" + std::to_string(batches_before) +
+                     "\""),
+            std::string::npos)
+      << xml;
+}
+
 TEST(ReplicationTest, LeaderStatsWithoutFollowersWriteOpenCloseElement) {
   // Before any follower subscribes, the stats frame carries the followers
   // element as "<followers></followers>", never the self-closing form.

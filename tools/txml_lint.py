@@ -45,6 +45,15 @@ tier-1 ctest (tests/CMakeLists.txt) and as stage 7 of scripts/check.sh:
                   and the retired per-caller copies of a query's counters
                   (ClientSession, OpenSession, last_query_stats) appear
                   nowhere in src/: the counters live in the response.
+  scoped-index-scan
+                  No corpus-wide index scan under src/ outside
+                  src/query/scan.{h,cc}: a PatternScanCurrent( /
+                  TPatternScan( / TPatternScanAll( / TPatternScanRange(
+                  call must pass the FROM item's documents (the `docs`
+                  overload), so the index arm joins only the documents a
+                  query names (DESIGN.md §13). Calls are told apart by
+                  their top-level argument count, read up to the matching
+                  paren across lines.
 
 Usage:
   txml_lint.py [--root REPO_DIR]   lint the tree; exit 1 on any finding
@@ -83,6 +92,15 @@ XML_WRITER_SCOPE = (os.path.join("src", "service") + os.sep,
                     os.path.join("src", "net", "server.cc"))
 RETIRED_STATS_RE = re.compile(
     r"\b(ClientSession|OpenSession|last_query_stats)\b")
+INDEX_SCAN_RE = re.compile(
+    r"(?<![\w])(PatternScanCurrent|TPatternScan|TPatternScanAll|"
+    r"TPatternScanRange)\s*\(")
+# Argument count of each corpus-wide overload; the doc-scoped one takes
+# `docs` as one more.
+CORPUS_WIDE_ARITY = {"PatternScanCurrent": 2, "TPatternScan": 3,
+                     "TPatternScanAll": 2, "TPatternScanRange": 4}
+INDEX_SCAN_OWNERS = (os.path.join("src", "query", "scan.h"),
+                     os.path.join("src", "query", "scan.cc"))
 
 
 def strip_line_comment(line):
@@ -285,6 +303,61 @@ def check_one_xml_writer(root):
     return findings
 
 
+def count_call_args(text, open_paren):
+    """Top-level arguments of the call whose '(' is at `open_paren`, read up
+    to its matching ')'. Nested (), [] and {} and string/char literals are
+    skipped; template argument lists are not (no such argument is passed
+    to the calls this counts)."""
+    depth = 0
+    commas = 0
+    saw_argument = False
+    i = open_paren + 1
+    while i < len(text):
+        ch = text[i]
+        if ch in "\"'":
+            i += 1
+            while i < len(text) and text[i] != ch:
+                i += 2 if text[i] == "\\" else 1
+            saw_argument = True
+        elif ch in "([{":
+            depth += 1
+            saw_argument = True
+        elif ch in ")]}":
+            if depth == 0:
+                break
+            depth -= 1
+        elif ch == "," and depth == 0:
+            commas += 1
+        elif not ch.isspace():
+            saw_argument = True
+        i += 1
+    return commas + 1 if saw_argument else 0
+
+
+def check_scoped_index_scan(root):
+    """scoped-index-scan: index scans outside scan.{h,cc} pass `docs`."""
+    findings = []
+    for path in iter_source_files(root, "src"):
+        rel = relpath(root, path)
+        if rel in INDEX_SCAN_OWNERS:
+            continue
+        with open(path, encoding="utf-8") as fp:
+            text = "\n".join(strip_line_comment(line.rstrip("\n"))
+                             for line in fp)
+        for match in INDEX_SCAN_RE.finditer(text):
+            name = match.group(1)
+            args = count_call_args(text, match.end() - 1)
+            if args > CORPUS_WIDE_ARITY[name]:
+                continue
+            lineno = text.count("\n", 0, match.start()) + 1
+            findings.append(
+                ("scoped-index-scan", rel, lineno,
+                 f"{name} called with {args} argument(s) scans every "
+                 "document; pass the FROM item's resolved documents "
+                 "(the `docs` overload)"))
+    return findings
+
+
 CHECKS = (
     check_raw_primitives,
     check_frame_coverage,
@@ -293,6 +366,7 @@ CHECKS = (
     check_one_chain_walker,
     check_one_commit_path,
     check_one_xml_writer,
+    check_scoped_index_scan,
 )
 
 
@@ -389,6 +463,20 @@ def build_tree(root, seeded):
           "  StatusOr<XmlDocument> Query(std::string_view text);\n" +
           ("  const ExecStats& last_query_stats() const;\n"
            if seeded else ""))
+    # scoped-index-scan: scan.cc may scan the whole corpus; elsewhere an
+    # index scan passes `docs`, however its arguments are spread or
+    # nested. Traversal calls are a different name.
+    write(root, "src/query/scan.cc",
+          "  return TPatternScanAll(ctx, pattern, AllDocuments(ctx));\n"
+          "  auto all = TPatternScanAll(ctx, pattern);\n")
+    write(root, "src/lang/executor.cc",
+          "        ? TPatternScanAllTraversal(ctx_, pattern, docs)\n"
+          "        : TPatternScanAll(ctx_, pattern,\n"
+          "                          docs));\n"
+          "  auto r = TPatternScanRange(ctx_, Make(a, \"),\"), t1,\n"
+          "                             Day(2), docs);  // TPatternScan(c, p)\n" +
+          ("  auto s = TPatternScan(ctx_, pattern,\n"
+           "                        ConstTime({t, u}));\n" if seeded else ""))
     write(root, "src/diff/edit_script.cc",
           "Status EditScript::ApplyForward(XmlNode* root,\n"
           "                                XidIndex* index) const {}\n")
@@ -417,7 +505,7 @@ def self_test():
         got_rules = {rule for rule, _, _, _ in findings}
         want_rules = {"raw-primitive", "frame-coverage", "lock-rank",
                       "no-assert", "one-chain-walker", "one-commit-path",
-                      "one-xml-writer"}
+                      "one-xml-writer", "scoped-index-scan"}
         missing = want_rules - got_rules
         if missing:
             print(f"self-test FAILED: rules {sorted(missing)} did not "
