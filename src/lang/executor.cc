@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <span>
 #include <unordered_map>
@@ -301,6 +302,31 @@ void CollectPushdowns(
   (*out)[path->var].push_back(PushdownPredicate{path, words[0]});
 }
 
+/// One FROM item's plan, worked out once: EXPLAIN renders it and Run binds
+/// from it. Each part keeps its own error, so each side keeps its own
+/// error precedence.
+struct FromPlan {
+  /// The source's documents, or NotFound for an absent doc("url").
+  StatusOr<std::vector<const VersionedDocument*>> docs;
+  /// The scan's pattern, or why the FROM path cannot be one.
+  StatusOr<Pattern> pattern;
+  ScanKind kind;
+  /// The snapshot time of a kSnapshot item, or why it is not constant.
+  StatusOr<Timestamp> time;
+  /// The planner's arm; set when the documents and the pattern resolve.
+  std::optional<ScanPlan> scan;
+  bool materialize;
+};
+
+ScanKind ScanKindOf(FromItem::Mode mode) {
+  switch (mode) {
+    case FromItem::Mode::kCurrent: return ScanKind::kCurrent;
+    case FromItem::Mode::kSnapshot: return ScanKind::kSnapshot;
+    case FromItem::Mode::kEvery: return ScanKind::kAll;
+  }
+  return ScanKind::kCurrent;
+}
+
 /// Per-execution state: binding lists, reconstruction cache, evaluation.
 class Execution {
  public:
@@ -310,7 +336,10 @@ class Execution {
 
   StatusOr<XmlDocument> Run(const Query& query) {
     TXML_RETURN_IF_ERROR(Analyze(query));
-    TXML_RETURN_IF_ERROR(BindAll(query));
+    bindings_.resize(query.from.size());
+    for (size_t i = 0; i < query.from.size(); ++i) {
+      TXML_RETURN_IF_ERROR(Bind(Plan(query.from[i]), &bindings_[i]));
+    }
     return Evaluate(query);
   }
 
@@ -318,42 +347,34 @@ class Execution {
     TXML_RETURN_IF_ERROR(Analyze(query));
     std::string out;
     for (const FromItem& item : query.from) {
-      TXML_ASSIGN_OR_RETURN(Pattern pattern, BuildPattern(item));
+      const FromPlan plan = Plan(item);
+      // A plan renders for absent documents too: only the pattern and the
+      // snapshot time must resolve.
+      TXML_RETURN_IF_ERROR(plan.pattern.status());
+      TXML_RETURN_IF_ERROR(plan.time.status());
       out += item.var + ": ";
-      switch (item.mode) {
-        case FromItem::Mode::kCurrent:
+      switch (plan.kind) {
+        case ScanKind::kCurrent:
           out += "PatternScan[current]";
           break;
-        case FromItem::Mode::kSnapshot: {
-          TXML_ASSIGN_OR_RETURN(Timestamp t, ConstTime(*item.snapshot_time));
-          out += "TPatternScan[t=" + t.ToString() + "]";
+        case ScanKind::kSnapshot:
+          out += "TPatternScan[t=" + plan.time->ToString() + "]";
           break;
-        }
-        case FromItem::Mode::kEvery:
+        case ScanKind::kAll:
           out += "TPatternScanAll";
           break;
       }
-      out += " pattern=" + pattern.ToString();
+      out += " pattern=" + plan.pattern->ToString();
       out += item.is_collection ? " collection=\"" : " doc=\"";
       out += item.url + "\"";
-      out += needs_tree_.contains(item.var) ? " materialize=yes"
-                                            : " materialize=no";
-      // Planner decision with the cost estimates behind it. Left out when
-      // the source does not resolve — Explain still renders a plan for
-      // queries over absent documents.
-      if (auto docs = ResolveDocs(item); docs.ok()) {
-        ScanKind kind = ScanKind::kCurrent;
-        if (item.mode == FromItem::Mode::kSnapshot) {
-          kind = ScanKind::kSnapshot;
-        } else if (item.mode == FromItem::Mode::kEvery) {
-          kind = ScanKind::kAll;
-        }
-        const ScanPlan plan =
-            PlanScan(ctx_, pattern, kind, *docs, options_.scan_strategy);
+      out += plan.materialize ? " materialize=yes" : " materialize=no";
+      // Planner decision with the cost estimates behind it.
+      if (plan.scan.has_value()) {
         out += " strategy=";
-        out += ScanStrategyName(plan.strategy);
-        out += " [index_cost=" + std::to_string(plan.index_cost) +
-               " traversal_cost=" + std::to_string(plan.traversal_cost) + "]";
+        out += ScanStrategyName(plan.scan->strategy);
+        out += " [index_cost=" + std::to_string(plan.scan->index_cost) +
+               " traversal_cost=" +
+               std::to_string(plan.scan->traversal_cost) + "]";
       }
       out += "\n";
     }
@@ -438,6 +459,24 @@ class Execution {
     }
   }
 
+  /// The one place a FROM item is planned: its documents, pattern,
+  /// snapshot time and the planner's arm.
+  FromPlan Plan(const FromItem& item) {
+    FromPlan plan{ResolveDocs(item),
+                  BuildPattern(item),
+                  ScanKindOf(item.mode),
+                  item.mode == FromItem::Mode::kSnapshot
+                      ? ConstTime(*item.snapshot_time)
+                      : StatusOr<Timestamp>(Timestamp()),
+                  std::nullopt,
+                  needs_tree_.contains(item.var)};
+    if (plan.docs.ok() && plan.pattern.ok()) {
+      plan.scan = PlanScan(ctx_, *plan.pattern, plan.kind, *plan.docs,
+                           options_.scan_strategy);
+    }
+    return plan;
+  }
+
   /// Builds the pattern for a FROM item: the location path as a chain of
   /// element-name nodes, plus pushed-down word tests.
   StatusOr<Pattern> BuildPattern(const FromItem& item) {
@@ -507,14 +546,6 @@ class Execution {
 
   // ---------------------------------------------------------------- bind
 
-  Status BindAll(const Query& query) {
-    bindings_.resize(query.from.size());
-    for (size_t i = 0; i < query.from.size(); ++i) {
-      TXML_RETURN_IF_ERROR(BindFromItem(query.from[i], &bindings_[i]));
-    }
-    return Status::OK();
-  }
-
   /// Resolves a FROM source to documents: one for doc("url"), all
   /// matching for collection("prefix*") — possibly none.
   StatusOr<std::vector<const VersionedDocument*>> ResolveDocs(
@@ -539,75 +570,67 @@ class Execution {
     return docs;
   }
 
-  Status BindFromItem(const FromItem& item, std::vector<Binding>* out) {
-    TXML_ASSIGN_OR_RETURN(std::vector<const VersionedDocument*> docs,
-                          ResolveDocs(item));
+  Status Bind(const FromPlan& plan, std::vector<Binding>* out) {
+    // Run's precedence: an absent document fails first, and a source with
+    // no documents binds nothing, whatever its pattern.
+    TXML_RETURN_IF_ERROR(plan.docs.status());
+    const std::vector<const VersionedDocument*>& docs = *plan.docs;
     if (docs.empty()) return Status::OK();
-    TXML_ASSIGN_OR_RETURN(Pattern pattern, BuildPattern(item));
-    bool need_tree = needs_tree_.contains(item.var);
+    TXML_RETURN_IF_ERROR(plan.pattern.status());
+    TXML_RETURN_IF_ERROR(plan.time.status());
+    const Pattern& pattern = *plan.pattern;
 
     // One scan over the source's documents serves all of them; its
-    // matches are partitioned per document once, below. The planner picks
-    // the scan's arm per FROM item: the FTI multiway join, or direct
-    // pattern matching over materialized trees (the only arm that works
-    // without an index).
-    switch (item.mode) {
-      case FromItem::Mode::kCurrent: {
-        const ScanPlan plan = PlanScan(ctx_, pattern, ScanKind::kCurrent,
-                                       docs, options_.scan_strategy);
-        NoteScanPlan(plan);
-        TXML_ASSIGN_OR_RETURN(
-            std::vector<ScanMatch> matches,
-            plan.strategy == ScanStrategy::kTraversal
-                ? PatternScanCurrentTraversal(ctx_, pattern, docs)
-                : PatternScanCurrent(ctx_, pattern, docs));
-        const MatchesByDoc by_doc(matches);
-        for (const VersionedDocument* doc : docs) {
+    // matches are partitioned per document once, below.
+    NoteScanPlan(*plan.scan);
+    TXML_ASSIGN_OR_RETURN(std::vector<ScanMatch> matches, Scan(plan));
+    const MatchesByDoc by_doc(matches);
+    for (const VersionedDocument* doc : docs) {
+      switch (plan.kind) {
+        case ScanKind::kCurrent:
           TXML_RETURN_IF_ERROR(BindSnapshotMatches(
-              by_doc.Of(*doc), pattern, *doc, need_tree,
+              by_doc.Of(*doc), pattern, *doc, plan.materialize,
               /*snapshot_version=*/doc->version_count(), out));
-        }
-        return Status::OK();
-      }
-      case FromItem::Mode::kSnapshot: {
-        TXML_ASSIGN_OR_RETURN(Timestamp t, ConstTime(*item.snapshot_time));
-        const ScanPlan plan = PlanScan(ctx_, pattern, ScanKind::kSnapshot,
-                                       docs, options_.scan_strategy);
-        NoteScanPlan(plan);
-        TXML_ASSIGN_OR_RETURN(
-            std::vector<ScanMatch> matches,
-            plan.strategy == ScanStrategy::kTraversal
-                ? TPatternScanTraversal(ctx_, pattern, t, docs)
-                : TPatternScan(ctx_, pattern, t, docs));
-        const MatchesByDoc by_doc(matches);
-        for (const VersionedDocument* doc : docs) {
-          auto version = doc->delta_index().VersionAt(t);
-          if (!version.has_value() || !doc->ExistsAt(t)) {
+          break;
+        case ScanKind::kSnapshot: {
+          auto version = doc->delta_index().VersionAt(*plan.time);
+          if (!version.has_value() || !doc->ExistsAt(*plan.time)) {
             continue;  // this document absent at t
           }
-          TXML_RETURN_IF_ERROR(BindSnapshotMatches(
-              by_doc.Of(*doc), pattern, *doc, need_tree, *version, out));
+          TXML_RETURN_IF_ERROR(BindSnapshotMatches(by_doc.Of(*doc), pattern,
+                                                   *doc, plan.materialize,
+                                                   *version, out));
+          break;
         }
-        return Status::OK();
-      }
-      case FromItem::Mode::kEvery: {
-        const ScanPlan plan = PlanScan(ctx_, pattern, ScanKind::kAll, docs,
-                                       options_.scan_strategy);
-        NoteScanPlan(plan);
-        TXML_ASSIGN_OR_RETURN(
-            std::vector<ScanMatch> matches,
-            plan.strategy == ScanStrategy::kTraversal
-                ? TPatternScanAllTraversal(ctx_, pattern, docs)
-                : TPatternScanAll(ctx_, pattern, docs));
-        const MatchesByDoc by_doc(matches);
-        for (const VersionedDocument* doc : docs) {
-          TXML_RETURN_IF_ERROR(BindEveryMatches(by_doc.Of(*doc), pattern,
-                                                *doc, need_tree, out));
-        }
-        return Status::OK();
+        case ScanKind::kAll:
+          TXML_RETURN_IF_ERROR(BindEveryMatches(
+              by_doc.Of(*doc), pattern, *doc, plan.materialize, out));
+          break;
       }
     }
-    return Status::Internal("unreachable");
+    return Status::OK();
+  }
+
+  /// Runs the planned scan on the arm the planner picked: the FTI multiway
+  /// join, or direct pattern matching over materialized trees (the only
+  /// arm that works without an index).
+  StatusOr<std::vector<ScanMatch>> Scan(const FromPlan& plan) {
+    const bool traversal = plan.scan->strategy == ScanStrategy::kTraversal;
+    const Pattern& pattern = *plan.pattern;
+    const std::vector<const VersionedDocument*>& docs = *plan.docs;
+    switch (plan.kind) {
+      case ScanKind::kCurrent:
+        return traversal ? PatternScanCurrentTraversal(ctx_, pattern, docs)
+                         : PatternScanCurrent(ctx_, pattern, docs);
+      case ScanKind::kSnapshot:
+        return traversal
+                   ? TPatternScanTraversal(ctx_, pattern, *plan.time, docs)
+                   : TPatternScan(ctx_, pattern, *plan.time, docs);
+      case ScanKind::kAll:
+        return traversal ? TPatternScanAllTraversal(ctx_, pattern, docs)
+                         : TPatternScanAll(ctx_, pattern, docs);
+    }
+    return Status::Internal("unreachable scan kind");
   }
 
   void NoteScanPlan(const ScanPlan& plan) {
@@ -673,77 +696,19 @@ class Execution {
     // [EVERY] binds one row per *element version* (Q3 lists the price
     // history per version of the restaurant element), so element histories
     // are always enumerated — TIME(), PREVIOUS() and DIFF() depend on that
-    // granularity even when no content is read.
-    //
-    // All matched elements of the document share a single backward walk
-    // through the delta chain (the paper's future-work goal: "reduce the
-    // number of delta versions that have to be retrieved").
-    struct ElementState {
-      std::vector<TimeInterval> runs;  // coalesced pattern-match runs
-      uint64_t prev_hash = 0;
-      bool prev_present = false;
-      std::vector<Binding> collected;  // most recent first
-    };
-    std::map<Xid, ElementState> elements;
-    Timestamp lo = Timestamp::Infinity();
-    Timestamp hi = Timestamp::NegInfinity();
+    // granularity even when no content is read. All matched elements of
+    // the document share one backward walk through the delta chain.
+    std::map<Xid, std::vector<TimeInterval>> runs;
     for (const ScanMatch& match : matches) {
-      Teid teid = match.ProjectedTeid(pattern);
-      elements[teid.eid.xid].runs.push_back(match.validity);
-      if (match.validity.start < lo) lo = match.validity.start;
-      if (match.validity.end > hi) hi = match.validity.end;
+      runs[match.ProjectedTeid(pattern).eid.xid].push_back(match.validity);
     }
-    if (elements.empty()) return Status::OK();
-    for (auto& [xid, state] : elements) {
-      state.runs = Coalesce(std::move(state.runs));
-    }
-
-    TXML_RETURN_IF_ERROR(WalkDocumentCursorBackward(
-        doc, lo, hi,
-        [&](const TimeInterval& validity, const DeltaChainCursor& cursor) {
-          ++stats_->snapshot_reconstructions;
-          for (auto& [xid, state] : elements) {
-            bool in_run = false;
-            for (const TimeInterval& run : state.runs) {
-              if (run.Overlaps(validity)) {
-                in_run = true;
-                break;
-              }
-            }
-            // The cursor's XID index finds each tracked element in O(1).
-            const XmlNode* element = in_run ? cursor.Find(xid) : nullptr;
-            if (element == nullptr) {
-              state.prev_present = false;
-              continue;
-            }
-            uint64_t hash = SubtreeHash(*element);
-            if (state.prev_present && !state.collected.empty() &&
-                hash == state.prev_hash) {
-              // Unchanged from the (more recent) neighbouring version:
-              // extend that entry's validity backwards.
-              state.collected.back().validity.start = validity.start;
-              state.collected.back().teid.timestamp = element->timestamp();
-            } else {
-              Binding binding;
-              binding.teid =
-                  Teid{Eid{doc.doc_id(), xid}, element->timestamp()};
-              binding.validity = validity;
-              if (need_tree) {
-                binding.tree =
-                    std::shared_ptr<const XmlNode>(element->Clone().release());
-              }
-              state.collected.push_back(std::move(binding));
-            }
-            state.prev_hash = hash;
-            state.prev_present = true;
-          }
-        }));
-
+    TXML_ASSIGN_OR_RETURN(
+        auto versions, ElementVersions(doc, std::move(runs), need_tree,
+                                       &stats_->snapshot_reconstructions));
     // Emit oldest-first per element, elements in XID order.
-    for (auto& [xid, state] : elements) {
-      for (auto it = state.collected.rbegin(); it != state.collected.rend();
-           ++it) {
-        out->push_back(std::move(*it));
+    for (auto& [xid, history] : versions) {
+      for (auto it = history.rbegin(); it != history.rend(); ++it) {
+        out->push_back(Binding{it->teid, it->validity, std::move(it->tree)});
       }
     }
     return Status::OK();
@@ -1034,26 +999,27 @@ class Execution {
     return Status::Internal("unreachable expression kind");
   }
 
-  /// CURRENT/PREVIOUS/NEXT(R): resolve the target timestamp through the
-  /// delta index (Section 7.3.7), Reconstruct, and optionally apply a
-  /// trailing path.
+  /// The version CURRENT/PREVIOUS/NEXT(var) names, through the delta
+  /// index (Section 7.3.7): its timestamp, or nullopt when there is none.
+  StatusOr<std::optional<Timestamp>> NavTarget(const Expr& expr,
+                                               const Binding& binding) {
+    switch (expr.nav) {
+      case Expr::Nav::kCurrent:
+        return CurrentTS(ctx_, binding.teid.eid);
+      case Expr::Nav::kPrevious:
+        return PreviousTS(ctx_, binding.teid);
+      case Expr::Nav::kNext:
+        return NextTS(ctx_, binding.teid);
+    }
+    return Status::Internal("unreachable navigation");
+  }
+
+  /// CURRENT/PREVIOUS/NEXT(R): resolve the target timestamp, Reconstruct,
+  /// and optionally apply a trailing path.
   StatusOr<Value> EvalNav(const Expr& expr, const Row& row) {
     const Binding& binding = BindingOf(expr.var, row);
-    std::optional<Timestamp> target;
-    switch (expr.nav) {
-      case Expr::Nav::kCurrent: {
-        TXML_ASSIGN_OR_RETURN(target, CurrentTS(ctx_, binding.teid.eid));
-        break;
-      }
-      case Expr::Nav::kPrevious: {
-        TXML_ASSIGN_OR_RETURN(target, PreviousTS(ctx_, binding.teid));
-        break;
-      }
-      case Expr::Nav::kNext: {
-        TXML_ASSIGN_OR_RETURN(target, NextTS(ctx_, binding.teid));
-        break;
-      }
-    }
+    TXML_ASSIGN_OR_RETURN(std::optional<Timestamp> target,
+                          NavTarget(expr, binding));
     if (!target.has_value()) return Value::Null();
     auto tree = Reconstruct(ctx_, Teid{binding.teid.eid, *target});
     if (tree.status().IsNotFound()) {
@@ -1079,21 +1045,8 @@ class Execution {
       }
       if (operand.kind == Expr::Kind::kNav && !operand.path.has_value()) {
         const Binding& binding = BindingOf(operand.var, row);
-        std::optional<Timestamp> target;
-        switch (operand.nav) {
-          case Expr::Nav::kCurrent: {
-            TXML_ASSIGN_OR_RETURN(target, CurrentTS(ctx_, binding.teid.eid));
-            break;
-          }
-          case Expr::Nav::kPrevious: {
-            TXML_ASSIGN_OR_RETURN(target, PreviousTS(ctx_, binding.teid));
-            break;
-          }
-          case Expr::Nav::kNext: {
-            TXML_ASSIGN_OR_RETURN(target, NextTS(ctx_, binding.teid));
-            break;
-          }
-        }
+        TXML_ASSIGN_OR_RETURN(std::optional<Timestamp> target,
+                              NavTarget(operand, binding));
         if (!target.has_value()) {
           return Status::NotFound("no such version for DIFF operand");
         }
@@ -1204,7 +1157,7 @@ StatusOr<std::string> QueryExecutor::Explain(
 }
 
 StatusOr<std::string> QueryExecutor::Explain(const Query& query) const {
-  // Planning tallies decisions as it goes; nobody reads them for a plan.
+  // Planning counts nothing: the counters tally what a Run executes.
   ExecStats stats;
   Execution execution(ctx_, options_, &stats);
   return execution.Explain(query);

@@ -278,15 +278,21 @@ QueryResponse TxmlServer::StatsResponse() {
   auto count = [](uint64_t n) { return std::to_string(n); };
   std::unique_ptr<XmlNode> stats = XmlNode::Element("stats");
   stats->AddChild(XmlNode::Element(
-      "service", {{"queries", count(service_stats.queries_executed)},
-                  {"writes", count(service_stats.writes_committed)},
-                  {"vacuums", count(service_stats.vacuums_run)}}));
+      "service",
+      {{"queries", count(service_stats.queries_executed)},
+       {"writes", count(service_stats.writes_committed)},
+       {"vacuums", count(service_stats.vacuums_run)},
+       {"queries-failed", count(service_stats.queries_failed)},
+       {"writes-failed", count(service_stats.writes_failed)},
+       {"write-batches", count(service_stats.write_batches_committed)}}));
   const DurabilityStats& durability = service_stats.durability;
   stats->AddChild(XmlNode::Element(
       "durability",
       {{"wal-last-sequence", count(durability.wal_last_sequence)},
        {"wal-bytes", count(durability.wal_bytes)},
-       {"checkpoints", count(durability.checkpoints_completed)}}));
+       {"checkpoints", count(durability.checkpoints_completed)},
+       {"checkpoints-failed", count(durability.checkpoints_failed)},
+       {"recovered-records", count(durability.recovered_records)}}));
   const ReplicationStats& replication = service_stats.replication;
   stats->AddChild(XmlNode::Element(
       "replication",
@@ -334,7 +340,15 @@ QueryResponse TxmlServer::StatsResponse() {
       {{"connections-accepted", count(server_stats.connections_accepted)},
        {"requests-served", count(server_stats.requests_served)},
        {"requests-failed", count(server_stats.requests_failed)},
-       {"requests-rate-limited", count(server_stats.requests_rate_limited)}}));
+       {"requests-rate-limited", count(server_stats.requests_rate_limited)},
+       {"connections-rejected", count(server_stats.connections_rejected)},
+       {"frames-rejected", count(server_stats.frames_rejected)},
+       {"timeouts", count(server_stats.timeouts)}}));
+  const SnapshotCacheStats& cache = service_stats.snapshot_cache;
+  stats->AddChild(XmlNode::Element(
+      "snapshot-cache", {{"hits", count(cache.hits)},
+                         {"misses", count(cache.misses)},
+                         {"evictions", count(cache.evictions)}}));
   if (options_.stats_extra) options_.stats_extra(stats.get());
   QueryResponse response;
   response.payload = SerializeXml(*stats);

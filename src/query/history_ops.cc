@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "src/diff/matcher.h"
+#include "src/storage/delta_chain_cursor.h"
 #include "src/util/logging.h"
 #include "src/util/macros.h"
 
@@ -54,11 +55,70 @@ Status WalkDocumentVersionsBackward(
       });
 }
 
-Status WalkDocumentCursorBackward(
-    const VersionedDocument& doc, Timestamp t1, Timestamp t2,
-    const std::function<void(const TimeInterval&, const DeltaChainCursor&)>&
-        visit) {
-  return WalkVersionsBackward(doc, t1, t2, visit);
+StatusOr<std::map<Xid, std::vector<MaterializedVersion>>> ElementVersions(
+    const VersionedDocument& doc,
+    std::map<Xid, std::vector<TimeInterval>> runs, bool materialize,
+    size_t* versions_walked) {
+  struct Tracked {
+    Xid xid;
+    std::vector<TimeInterval> runs;  // coalesced
+    std::vector<MaterializedVersion>* history;
+    uint64_t prev_hash = 0;
+    bool prev_present = false;
+  };
+  std::map<Xid, std::vector<MaterializedVersion>> versions;
+  std::vector<Tracked> tracked;
+  tracked.reserve(runs.size());
+  Timestamp lo = Timestamp::Infinity();
+  Timestamp hi = Timestamp::NegInfinity();
+  for (auto& [xid, element_runs] : runs) {
+    for (const TimeInterval& run : element_runs) {
+      if (run.start < lo) lo = run.start;
+      if (run.end > hi) hi = run.end;
+    }
+    tracked.push_back(
+        Tracked{xid, Coalesce(std::move(element_runs)), &versions[xid]});
+  }
+  if (tracked.empty()) return versions;
+
+  TXML_RETURN_IF_ERROR(WalkVersionsBackward(
+      doc, lo, hi,
+      [&](const TimeInterval& validity, const DeltaChainCursor& cursor) {
+        if (versions_walked != nullptr) ++*versions_walked;
+        for (Tracked& state : tracked) {
+          bool in_run = false;
+          for (const TimeInterval& run : state.runs) {
+            if (run.Overlaps(validity)) {
+              in_run = true;
+              break;
+            }
+          }
+          const XmlNode* element =
+              in_run ? cursor.Find(state.xid) : nullptr;
+          if (element == nullptr) {
+            state.prev_present = false;
+            continue;
+          }
+          uint64_t hash = SubtreeHash(*element);
+          std::vector<MaterializedVersion>& history = *state.history;
+          if (state.prev_present && !history.empty() &&
+              hash == state.prev_hash) {
+            // Unchanged from the (more recent) neighbouring version:
+            // extend that entry's validity backwards — same element
+            // version.
+            history.back().validity.start = validity.start;
+            history.back().teid.timestamp = element->timestamp();
+          } else {
+            history.push_back(MaterializedVersion{
+                Teid{Eid{doc.doc_id(), state.xid}, element->timestamp()},
+                validity,
+                materialize ? element->Clone() : nullptr});
+          }
+          state.prev_hash = hash;
+          state.prev_present = true;
+        }
+      }));
+  return versions;
 }
 
 StatusOr<std::unique_ptr<XmlNode>> Reconstruct(const QueryContext& ctx,
@@ -121,31 +181,11 @@ StatusOr<std::vector<MaterializedVersion>> ElementHistory(
     return Status::NotFound("no document with id " +
                             std::to_string(eid.doc_id));
   }
-  std::vector<MaterializedVersion> history;
-  uint64_t previous_hash = 0;
-  bool previous_present = false;
-  TXML_RETURN_IF_ERROR(WalkVersionsBackward(
-      *doc, t1, t2,
-      [&](const TimeInterval& validity, const DeltaChainCursor& cursor) {
-        const XmlNode* element = cursor.Find(eid.xid);
-        if (element == nullptr) {
-          previous_present = false;
-          return;
-        }
-        uint64_t hash = SubtreeHash(*element);
-        if (previous_present && !history.empty() && hash == previous_hash) {
-          // Unchanged from the (more recent) neighbouring version: extend
-          // that entry's validity backwards — same element version.
-          history.back().validity.start = validity.start;
-          history.back().teid.timestamp = element->timestamp();
-        } else {
-          history.push_back(MaterializedVersion{
-              Teid{eid, element->timestamp()}, validity, element->Clone()});
-        }
-        previous_hash = hash;
-        previous_present = true;
-      }));
-  return history;
+  TXML_ASSIGN_OR_RETURN(
+      auto versions,
+      ElementVersions(*doc, {{eid.xid, {TimeInterval{t1, t2}}}},
+                      /*materialize=*/true));
+  return std::move(versions[eid.xid]);
 }
 
 }  // namespace txml

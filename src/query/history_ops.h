@@ -2,11 +2,11 @@
 #define TXML_SRC_QUERY_HISTORY_OPS_H_
 
 #include <functional>
+#include <map>
 #include <memory>
 #include <vector>
 
 #include "src/query/context.h"
-#include "src/storage/delta_chain_cursor.h"
 #include "src/util/statusor.h"
 #include "src/util/timestamp.h"
 #include "src/xml/ids.h"
@@ -44,28 +44,32 @@ StatusOr<std::vector<MaterializedVersion>> DocHistory(const QueryContext& ctx,
 /// against the cursor's persistent XID index, so a walk over k versions
 /// costs k delta applications total. The visited tree is transient —
 /// callbacks must clone whatever they keep. This is the engine under
-/// DocHistory / ElementHistory and the executor's [EVERY] binding, which
-/// shares one walk across all elements of a document (the paper's
-/// future-work goal of "reducing the number of delta versions that have to
-/// be retrieved").
+/// DocHistory and ElementVersions.
 Status WalkDocumentVersionsBackward(
     const VersionedDocument& doc, Timestamp t1, Timestamp t2,
     const std::function<void(VersionNum, const TimeInterval&,
                              const XmlNode&)>& visit);
 
-/// The same walk, visiting the cursor itself, so callers can look tracked
-/// elements up by XID (DeltaChainCursor::Find) instead of searching each
-/// version's tree.
-Status WalkDocumentCursorBackward(
-    const VersionedDocument& doc, Timestamp t1, Timestamp t2,
-    const std::function<void(const TimeInterval&, const DeltaChainCursor&)>&
-        visit);
+/// The element versions of several elements of one document, from one
+/// backward walk over the document's versions (the paper's future-work
+/// goal of "reducing the number of delta versions that have to be
+/// retrieved"). `runs` holds, per element XID, the intervals in which the
+/// element is wanted: it is looked up, in O(1) through the cursor's XID
+/// index, only in versions overlapping one of them, and the walk covers
+/// [earliest start, latest end) of all runs. Consecutive versions in
+/// which an element's subtree is unchanged collapse into one entry whose
+/// validity spans them (one element version, as the data model sees it).
+/// Each element's entries come most recent first; trees are cloned only
+/// when `materialize` is set. `versions_walked`, when non-null, counts
+/// every document version the walk visits.
+StatusOr<std::map<Xid, std::vector<MaterializedVersion>>> ElementVersions(
+    const VersionedDocument& doc,
+    std::map<Xid, std::vector<TimeInterval>> runs, bool materialize,
+    size_t* versions_walked = nullptr);
 
 /// ElementHistory(EID, t1, t2) — Section 7.3.5: DocHistory filtered to the
 /// subtree rooted at the EID; versions where the element does not exist
-/// are skipped. Most recent first. Consecutive versions in which the
-/// element's subtree is unchanged are collapsed into one entry whose
-/// validity spans the run (one element version, as the data model sees it).
+/// are skipped. Most recent first, coalesced as ElementVersions does.
 StatusOr<std::vector<MaterializedVersion>> ElementHistory(
     const QueryContext& ctx, const Eid& eid, Timestamp t1, Timestamp t2);
 

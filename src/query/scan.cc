@@ -252,21 +252,6 @@ StatusOr<std::vector<ScanMatch>> TPatternScanAll(
                   });
 }
 
-StatusOr<std::vector<ScanMatch>> TPatternScanRange(
-    const QueryContext& ctx, const Pattern& pattern, Timestamp t1,
-    Timestamp t2, const std::vector<const VersionedDocument*>& docs) {
-  auto all = TPatternScanAll(ctx, pattern, docs);
-  if (!all.ok()) return all.status();
-  TimeInterval window{t1, t2};
-  std::vector<ScanMatch> filtered;
-  for (ScanMatch& match : *all) {
-    if (match.validity.Overlaps(window)) {
-      filtered.push_back(std::move(match));
-    }
-  }
-  return filtered;
-}
-
 StatusOr<std::vector<ScanMatch>> PatternScanCurrent(const QueryContext& ctx,
                                                     const Pattern& pattern) {
   return PatternScanCurrent(ctx, pattern, AllDocuments(ctx));
@@ -281,13 +266,6 @@ StatusOr<std::vector<ScanMatch>> TPatternScan(const QueryContext& ctx,
 StatusOr<std::vector<ScanMatch>> TPatternScanAll(const QueryContext& ctx,
                                                  const Pattern& pattern) {
   return TPatternScanAll(ctx, pattern, AllDocuments(ctx));
-}
-
-StatusOr<std::vector<ScanMatch>> TPatternScanRange(const QueryContext& ctx,
-                                                   const Pattern& pattern,
-                                                   Timestamp t1,
-                                                   Timestamp t2) {
-  return TPatternScanRange(ctx, pattern, t1, t2, AllDocuments(ctx));
 }
 
 namespace {

@@ -92,16 +92,6 @@ StatusOr<std::vector<ScanMatch>> TPatternScanAll(
 StatusOr<std::vector<ScanMatch>> TPatternScanAll(const QueryContext& ctx,
                                                  const Pattern& pattern);
 
-/// TPatternScanAll restricted to matches whose validity overlaps
-/// [t1, t2) — used by range-restricted history queries.
-StatusOr<std::vector<ScanMatch>> TPatternScanRange(
-    const QueryContext& ctx, const Pattern& pattern, Timestamp t1,
-    Timestamp t2, const std::vector<const VersionedDocument*>& docs);
-StatusOr<std::vector<ScanMatch>> TPatternScanRange(const QueryContext& ctx,
-                                                   const Pattern& pattern,
-                                                   Timestamp t1,
-                                                   Timestamp t2);
-
 /// Traversal ("stratum") variants of the snapshot, current and history
 /// scans: materialize the relevant version(s) of each document of `docs`
 /// and evaluate the pattern directly with MatchPattern — no FTI involved.

@@ -130,13 +130,14 @@ TEST_F(CompactionOracleTest, RangeScanUnchangedAcrossFold) {
                                    PatternNode::Axis::kSelf, "n2"));
   Pattern pattern(std::move(root));
 
+  // The history scan's match runs survive a fold row for row.
   QueryContext ctx = db_.Context();
-  auto before = TPatternScanRange(ctx, pattern, Day(2), Day(5));
+  auto before = TPatternScanAll(ctx, pattern);
   ASSERT_TRUE(before.ok());
   ASSERT_FALSE(before->empty());
 
   db_.CompactFti();
-  auto after = TPatternScanRange(ctx, pattern, Day(2), Day(5));
+  auto after = TPatternScanAll(ctx, pattern);
   ASSERT_TRUE(after.ok());
   ASSERT_EQ(after->size(), before->size());
   for (size_t i = 0; i < after->size(); ++i) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 #include <string>
 #include <tuple>
 
@@ -101,6 +102,10 @@ struct DiffCase {
   const char* old_xml;
   const char* new_xml;
 };
+
+// gtest would print a DiffCase as its raw bytes (string addresses), which
+// would put the binary's layout into every ctest name: print the name.
+void PrintTo(const DiffCase& c, std::ostream* os) { *os << c.name; }
 
 class DiffScriptTest : public ::testing::TestWithParam<DiffCase> {};
 

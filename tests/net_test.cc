@@ -1603,8 +1603,10 @@ TEST(NetTest, StatsFrameKeepsItsElementAndAttributeOrder) {
   walk(*parsed->root());
   const std::vector<std::string> expected = {
       "stats:",
-      "service: queries writes vacuums",
-      "durability: wal-last-sequence wal-bytes checkpoints",
+      "service: queries writes vacuums queries-failed writes-failed "
+      "write-batches",
+      "durability: wal-last-sequence wal-bytes checkpoints "
+      "checkpoints-failed recovered-records",
       "replication: last-committed-sequence last-checkpoint-sequence "
       "replicated-applied replicated-skipped reseeds reseed-bytes read-only",
       "commit-path: shards acquires waits batches records syncs max-batch",
@@ -1612,7 +1614,8 @@ TEST(NetTest, StatsFrameKeepsItsElementAndAttributeOrder) {
       "planner: scans-index scans-traversal lifetime-index "
       "lifetime-traversal fallbacks",
       "server: connections-accepted requests-served requests-failed "
-      "requests-rate-limited",
+      "requests-rate-limited connections-rejected frames-rejected timeouts",
+      "snapshot-cache: hits misses evictions",
   };
   EXPECT_EQ(shape, expected) << response->payload;
 }

@@ -190,18 +190,6 @@ TEST_F(QueryTest, TPatternScanAllSplitsOnValueChange) {
   EXPECT_EQ((*runs)[0].validity, (TimeInterval{Day(1), Day(31)}));
 }
 
-TEST_F(QueryTest, TPatternScanRangeFilters) {
-  LoadFigure1();
-  auto runs = TPatternScanRange(ctx_, RestaurantNamedPattern("akropolis"),
-                                Day(2), Day(10));
-  ASSERT_TRUE(runs.ok());
-  EXPECT_TRUE(runs->empty());  // Akropolis valid only [15/01, 31/01)
-  auto hit = TPatternScanRange(ctx_, RestaurantNamedPattern("akropolis"),
-                               Day(20), Day(22));
-  ASSERT_TRUE(hit.ok());
-  EXPECT_EQ(hit->size(), 1u);
-}
-
 TEST_F(QueryTest, ReconstructElementVersion) {
   LoadFigure1();
   // Napoli at day 26: price 15.

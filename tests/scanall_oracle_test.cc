@@ -255,7 +255,7 @@ class ScopedScanOracleTest : public ::testing::TestWithParam<int> {
     return subsets;
   }
 
-  /// Asserts the doc-scoped = filtered-corpus-wide property for all four
+  /// Asserts the doc-scoped = filtered-corpus-wide property for all three
   /// index scans, every pattern and every subset.
   void ExpectScopedEqualsFiltered(const std::string& stage) {
     QueryContext ctx{&store_, &fti_, nullptr};
@@ -263,7 +263,6 @@ class ScopedScanOracleTest : public ::testing::TestWithParam<int> {
     for (const Pattern& pattern : patterns_) {
       const auto current = PatternScanCurrent(ctx, pattern);
       const auto all = TPatternScanAll(ctx, pattern);
-      const auto range = TPatternScanRange(ctx, pattern, Day(10), Day(20));
       if (pattern.ToString() == patterns_.front().ToString()) {
         EXPECT_FALSE(Rows(all).empty()) << stage;
         EXPECT_FALSE(Rows(current).empty()) << stage;
@@ -277,10 +276,6 @@ class ScopedScanOracleTest : public ::testing::TestWithParam<int> {
             << where;
         EXPECT_EQ(Rows(TPatternScanAll(ctx, pattern, docs)),
                   RowsOf(all, docs))
-            << where;
-        EXPECT_EQ(
-            Rows(TPatternScanRange(ctx, pattern, Day(10), Day(20), docs)),
-            RowsOf(range, docs))
             << where;
         for (Timestamp t : times) {
           EXPECT_EQ(Rows(TPatternScan(ctx, pattern, t, docs)),

@@ -48,12 +48,18 @@ tier-1 ctest (tests/CMakeLists.txt) and as stage 7 of scripts/check.sh:
   scoped-index-scan
                   No corpus-wide index scan under src/ outside
                   src/query/scan.{h,cc}: a PatternScanCurrent( /
-                  TPatternScan( / TPatternScanAll( / TPatternScanRange(
-                  call must pass the FROM item's documents (the `docs`
-                  overload), so the index arm joins only the documents a
-                  query names (DESIGN.md §13). Calls are told apart by
-                  their top-level argument count, read up to the matching
+                  TPatternScan( / TPatternScanAll( call must pass the
+                  FROM item's documents (the `docs` overload), so the
+                  index arm joins only the documents a query names
+                  (DESIGN.md §13). Calls are told apart by their
+                  top-level argument count, read up to the matching
                   paren across lines.
+  one-plan        PlanScan( / BuildPattern( / ResolveDocs( each have
+                  exactly one call site in src/lang/executor.cc: a FROM
+                  item is planned once, and EXPLAIN prints the plan that
+                  Run executes (DESIGN.md §13). Definitions and
+                  declarations (the name right after a type) are not
+                  call sites.
 
 Usage:
   txml_lint.py [--root REPO_DIR]   lint the tree; exit 1 on any finding
@@ -93,14 +99,16 @@ XML_WRITER_SCOPE = (os.path.join("src", "service") + os.sep,
 RETIRED_STATS_RE = re.compile(
     r"\b(ClientSession|OpenSession|last_query_stats)\b")
 INDEX_SCAN_RE = re.compile(
-    r"(?<![\w])(PatternScanCurrent|TPatternScan|TPatternScanAll|"
-    r"TPatternScanRange)\s*\(")
+    r"(?<![\w])(PatternScanCurrent|TPatternScan|TPatternScanAll)\s*\(")
 # Argument count of each corpus-wide overload; the doc-scoped one takes
 # `docs` as one more.
 CORPUS_WIDE_ARITY = {"PatternScanCurrent": 2, "TPatternScan": 3,
-                     "TPatternScanAll": 2, "TPatternScanRange": 4}
+                     "TPatternScanAll": 2}
 INDEX_SCAN_OWNERS = (os.path.join("src", "query", "scan.h"),
                      os.path.join("src", "query", "scan.cc"))
+PLAN_STEP_RE = re.compile(
+    r"(?<![\w:.>])(PlanScan|BuildPattern|ResolveDocs)\s*\(")
+PLANNER = os.path.join("src", "lang", "executor.cc")
 
 
 def strip_line_comment(line):
@@ -358,6 +366,34 @@ def check_scoped_index_scan(root):
     return findings
 
 
+def check_one_plan(root):
+    """one-plan: each FROM-item planning step has one call site."""
+    path = os.path.join(root, PLANNER)
+    if not os.path.isfile(path):
+        return []
+    calls = {}
+    with open(path, encoding="utf-8") as fp:
+        for lineno, line in enumerate(fp, 1):
+            code = strip_line_comment(line)
+            for match in PLAN_STEP_RE.finditer(code):
+                before = code[:match.start()].rstrip()
+                # A type right before the name: a definition or declaration.
+                if before and (before[-1].isalnum() or before[-1] in "_>*&") \
+                        and not before.endswith("return"):
+                    continue
+                calls.setdefault(match.group(1), []).append(lineno)
+    findings = []
+    for name in ("PlanScan", "BuildPattern", "ResolveDocs"):
+        lines = calls.get(name, [])
+        if len(lines) != 1:
+            findings.append(
+                ("one-plan", PLANNER, lines[1] if len(lines) > 1 else 1,
+                 f"{name} has {len(lines)} call sites (lines "
+                 f"{', '.join(map(str, lines)) or 'none'}); plan each FROM "
+                 "item once and render or bind that plan"))
+    return findings
+
+
 CHECKS = (
     check_raw_primitives,
     check_frame_coverage,
@@ -367,6 +403,7 @@ CHECKS = (
     check_one_commit_path,
     check_one_xml_writer,
     check_scoped_index_scan,
+    check_one_plan,
 )
 
 
@@ -469,14 +506,23 @@ def build_tree(root, seeded):
     write(root, "src/query/scan.cc",
           "  return TPatternScanAll(ctx, pattern, AllDocuments(ctx));\n"
           "  auto all = TPatternScanAll(ctx, pattern);\n")
+    # one-plan: the planner's definitions and one call of each step are
+    # fine; a second call of one is not.
     write(root, "src/lang/executor.cc",
           "        ? TPatternScanAllTraversal(ctx_, pattern, docs)\n"
           "        : TPatternScanAll(ctx_, pattern,\n"
           "                          docs));\n"
-          "  auto r = TPatternScanRange(ctx_, Make(a, \"),\"), t1,\n"
-          "                             Day(2), docs);  // TPatternScan(c, p)\n" +
+          "  auto r = TPatternScan(ctx_, Make(a, \"),\"),\n"
+          "                        Day(2), docs);  // TPatternScan(c, p)\n"
+          "  StatusOr<Pattern> BuildPattern(const FromItem& item) {\n"
+          "  StatusOr<std::vector<const VersionedDocument*>> ResolveDocs(\n"
+          "    FromPlan plan{item, ResolveDocs(item), BuildPattern(item)};\n"
+          "      plan.scan = PlanScan(ctx_, *plan.pattern, plan.kind,\n"
+          "  // PlanScan(ctx_, pattern) in a comment is no call\n" +
           ("  auto s = TPatternScan(ctx_, pattern,\n"
-           "                        ConstTime({t, u}));\n" if seeded else ""))
+           "                        ConstTime({t, u}));\n"
+           "    return PlanScan(ctx_, pattern, kind, docs, strategy);\n"
+           if seeded else ""))
     write(root, "src/diff/edit_script.cc",
           "Status EditScript::ApplyForward(XmlNode* root,\n"
           "                                XidIndex* index) const {}\n")
@@ -505,7 +551,7 @@ def self_test():
         got_rules = {rule for rule, _, _, _ in findings}
         want_rules = {"raw-primitive", "frame-coverage", "lock-rank",
                       "no-assert", "one-chain-walker", "one-commit-path",
-                      "one-xml-writer", "scoped-index-scan"}
+                      "one-xml-writer", "scoped-index-scan", "one-plan"}
         missing = want_rules - got_rules
         if missing:
             print(f"self-test FAILED: rules {sorted(missing)} did not "
