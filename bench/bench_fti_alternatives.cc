@@ -19,8 +19,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "bench/baselines/delta_fti.h"
 #include "bench/bench_util.h"
-#include "src/index/delta_fti.h"
 #include "src/index/fti.h"
 
 namespace txml {

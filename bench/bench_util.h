@@ -6,8 +6,8 @@
 #include <string>
 #include <vector>
 
+#include "bench/baselines/stratum_store.h"
 #include "src/core/database.h"
-#include "src/storage/stratum_store.h"
 #include "src/util/timestamp.h"
 #include "src/workload/tdocgen.h"
 #include "src/xml/pattern.h"

@@ -1,6 +1,7 @@
 #include "src/core/database.h"
 
 #include <utility>
+#include <vector>
 
 #include "src/storage/delta_chain_cursor.h"
 #include "src/util/coding.h"
@@ -34,11 +35,9 @@ void TemporalXmlDatabase::AttachIndexes(
   fti_ = fti != nullptr ? std::move(fti)
                         : std::make_unique<TemporalFullTextIndex>(store_.get());
   store_->AddObserver(fti_.get());
-  if (options_.lifetime_index) {
-    lifetime_ = lifetime != nullptr ? std::move(lifetime)
-                                    : std::make_unique<LifetimeIndex>();
-    store_->AddObserver(lifetime_.get());
-  }
+  lifetime_ = lifetime != nullptr ? std::move(lifetime)
+                                  : std::make_unique<LifetimeIndex>();
+  store_->AddObserver(lifetime_.get());
   if (!options_.document_time_path.empty()) {
     auto path = PathExpr::Parse(options_.document_time_path);
     if (path.ok()) {
@@ -52,46 +51,16 @@ void TemporalXmlDatabase::AttachIndexes(
   }
 }
 
-void TemporalXmlDatabase::ReplayIntoIndexes(bool include_fti,
-                                            bool include_lifetime) {
-  bool needs_versions = include_fti || include_lifetime || doctime_ != nullptr;
+void TemporalXmlDatabase::ReplayIntoIndexes(bool include_indexes) {
+  std::vector<StoreObserver*> observers;
+  if (include_indexes) {
+    observers.push_back(fti_.get());
+    observers.push_back(lifetime_.get());
+  }
+  if (doctime_ != nullptr) observers.push_back(doctime_.get());
+  Status replayed = ReplayRetainedHistory(*store_, observers);
+  TXML_CHECK(replayed.ok());
   for (const VersionedDocument* doc : store_->AllDocuments()) {
-    if (needs_versions) {
-      // Replay walks the retained chain forward with one cursor: a
-      // vacuumed document's history starts at first_retained() and may
-      // skip coarsened-away versions.
-      Status replayed = ForEachRetainedVersion(
-          *doc, [&](const DeltaChainCursor& cursor) {
-            const VersionNum v = cursor.version();
-            const XmlNode& tree = cursor.tree();
-            Timestamp ts = doc->delta_index().TimestampOf(v);
-            const EditScript* delta =
-                v > doc->first_retained()
-                    ? &doc->RetainedTransition(doc->PrevRetained(v))
-                    : nullptr;
-            if (include_fti) {
-              fti_->OnVersionStored(doc->doc_id(), v, ts, tree, delta);
-            }
-            if (include_lifetime && lifetime_ != nullptr) {
-              lifetime_->OnVersionStored(doc->doc_id(), v, ts, tree, delta);
-            }
-            if (doctime_ != nullptr) {
-              doctime_->OnVersionStored(doc->doc_id(), v, ts, tree, delta);
-            }
-            return Status::OK();
-          });
-      TXML_CHECK(replayed.ok());
-      if (doc->deleted()) {
-        if (include_fti) {
-          fti_->OnDocumentDeleted(doc->doc_id(), doc->version_count(),
-                                  doc->delete_time());
-        }
-        if (include_lifetime && lifetime_ != nullptr) {
-          lifetime_->OnDocumentDeleted(doc->doc_id(), doc->version_count(),
-                                       doc->delete_time());
-        }
-      }
-    }
     clock_.AdvanceTo(doc->delta_index().last_timestamp().AddMicros(1));
     if (doc->deleted()) clock_.AdvanceTo(doc->delete_time().AddMicros(1));
   }
@@ -221,12 +190,12 @@ Status TemporalXmlDatabase::Save(const std::string& dir) const {
   std::string fti_blob;
   fti_->EncodeTo(&fti_blob);
   PutLengthPrefixed(&index_blob, fti_blob);
-  PutVarint32(&index_blob, lifetime_ != nullptr ? 1 : 0);
-  if (lifetime_ != nullptr) {
-    std::string lifetime_blob;
-    lifetime_->EncodeTo(&lifetime_blob);
-    PutLengthPrefixed(&index_blob, lifetime_blob);
-  }
+  // 1: a lifetime section follows. Open rebuilds both indexes from a file
+  // whose flag is 0.
+  PutVarint32(&index_blob, 1);
+  std::string lifetime_blob;
+  lifetime_->EncodeTo(&lifetime_blob);
+  PutLengthPrefixed(&index_blob, lifetime_blob);
   return WriteStringToFile(dir + "/" + kIndexFileName, index_blob);
 }
 
@@ -258,11 +227,12 @@ StatusOr<std::unique_ptr<TemporalXmlDatabase>> TemporalXmlDatabase::Open(
     TXML_ASSIGN_OR_RETURN(
         fti, TemporalFullTextIndex::Decode(fti_blob, db->store_.get()));
     TXML_ASSIGN_OR_RETURN(uint32_t has_lifetime, decoder.ReadVarint32());
-    if (has_lifetime != 0) {
-      TXML_ASSIGN_OR_RETURN(std::string_view lifetime_blob,
-                            decoder.ReadLengthPrefixed());
-      TXML_ASSIGN_OR_RETURN(lifetime, LifetimeIndex::Decode(lifetime_blob));
+    if (has_lifetime == 0) {
+      return Status::Corruption("index file has no lifetime section");
     }
+    TXML_ASSIGN_OR_RETURN(std::string_view lifetime_blob,
+                          decoder.ReadLengthPrefixed());
+    TXML_ASSIGN_OR_RETURN(lifetime, LifetimeIndex::Decode(lifetime_blob));
     return Status::OK();
   };
   Status loaded = load_indexes();
@@ -270,12 +240,8 @@ StatusOr<std::unique_ptr<TemporalXmlDatabase>> TemporalXmlDatabase::Open(
     fti = nullptr;
     lifetime = nullptr;
   }
-  bool have_fti = fti != nullptr;
-  bool have_lifetime =
-      lifetime != nullptr || !options.lifetime_index;
   db->AttachIndexes(std::move(fti), std::move(lifetime));
-  db->ReplayIntoIndexes(/*include_fti=*/!have_fti,
-                        /*include_lifetime=*/!have_lifetime);
+  db->ReplayIntoIndexes(/*include_indexes=*/!loaded.ok());
   return db;
 }
 

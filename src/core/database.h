@@ -25,9 +25,6 @@ struct DatabaseOptions {
   /// Keep a complete snapshot of every k-th version of each document
   /// (Section 7.3.3's reconstruction shortcut); 0 = pure delta chains.
   uint32_t snapshot_every = 0;
-  /// Maintain the EID lifetime index (Section 7.3.6's auxiliary index).
-  /// When off, CREATE TIME / DELETE TIME fall back to delta traversal.
-  bool lifetime_index = true;
   /// When non-empty, maintain a *document time* index (Section 3.1's third
   /// case): the location path to the in-document timestamp, e.g.
   /// "//published". Queried through document_time_index().
@@ -152,6 +149,8 @@ class TemporalXmlDatabase {
   /// triggers it from MaybeCompactFti, and a vacuum forces it through
   /// OnHistoryVacuumed.
   void CompactFti() { fti_->CompactDifferential(); }
+  /// The EID lifetime index (Section 7.3.6's auxiliary index); always
+  /// attached.
   const LifetimeIndex* lifetime_index() const { return lifetime_.get(); }
   const DocumentTimeIndex* document_time_index() const {
     return doctime_.get();
@@ -187,7 +186,10 @@ class TemporalXmlDatabase {
   /// missing ones constructed empty.
   void AttachIndexes(std::unique_ptr<TemporalFullTextIndex> fti,
                      std::unique_ptr<LifetimeIndex> lifetime);
-  void ReplayIntoIndexes(bool include_fti, bool include_lifetime);
+  /// Feeds the retained histories to the document-time index and, when
+  /// `include_indexes`, to the FTI and lifetime index (which start empty
+  /// then); advances the clock past every stored event.
+  void ReplayIntoIndexes(bool include_indexes);
 
   DatabaseOptions options_;
   CommitClock clock_;

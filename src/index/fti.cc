@@ -284,23 +284,9 @@ std::vector<const Posting*> TemporalFullTextIndex::LookupH(
 std::unique_ptr<TemporalFullTextIndex> TemporalFullTextIndex::Rebuild(
     const VersionedDocumentStore& store) {
   auto index = std::make_unique<TemporalFullTextIndex>(&store);
-  for (const VersionedDocument* doc : store.AllDocuments()) {
-    // Walk the retained chain only — vacuumed-away versions have no
-    // timestamps and no reconstructible content.
-    Status walked = ForEachRetainedVersion(
-        *doc, [&](const DeltaChainCursor& cursor) {
-          const VersionNum v = cursor.version();
-          index->OnVersionStored(doc->doc_id(), v,
-                                 doc->delta_index().TimestampOf(v),
-                                 cursor.tree(), nullptr);
-          return Status::OK();
-        });
-    TXML_CHECK(walked.ok());
-    if (doc->deleted()) {
-      index->OnDocumentDeleted(doc->doc_id(), doc->version_count(),
-                               doc->delete_time());
-    }
-  }
+  StoreObserver* observer = index.get();
+  Status replayed = ReplayRetainedHistory(store, {&observer, 1});
+  TXML_CHECK(replayed.ok());
   // A rebuild *is* a full compaction — start the new generation clean.
   index->CompactDifferential();
   return index;

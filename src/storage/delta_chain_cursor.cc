@@ -108,4 +108,35 @@ Status ForEachRetainedVersion(
   }
 }
 
+Status ReplayRetainedHistory(const VersionedDocumentStore& store,
+                             std::span<StoreObserver* const> observers) {
+  if (observers.empty()) return Status::OK();
+  for (const VersionedDocument* doc : store.AllDocuments()) {
+    // Vacuumed-away versions have no timestamps and no reconstructible
+    // content: the history starts at first_retained() and may skip
+    // coarsened-away versions.
+    TXML_RETURN_IF_ERROR(ForEachRetainedVersion(
+        *doc, [&](const DeltaChainCursor& cursor) {
+          const VersionNum v = cursor.version();
+          const Timestamp ts = doc->delta_index().TimestampOf(v);
+          const EditScript* delta =
+              v > doc->first_retained()
+                  ? &doc->RetainedTransition(doc->PrevRetained(v))
+                  : nullptr;
+          for (StoreObserver* observer : observers) {
+            observer->OnVersionStored(doc->doc_id(), v, ts, cursor.tree(),
+                                      delta);
+          }
+          return Status::OK();
+        }));
+    if (doc->deleted()) {
+      for (StoreObserver* observer : observers) {
+        observer->OnDocumentDeleted(doc->doc_id(), doc->version_count(),
+                                    doc->delete_time());
+      }
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace txml

@@ -3,8 +3,10 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 
 #include "src/diff/edit_script.h"
+#include "src/storage/store.h"
 #include "src/storage/versioned_document.h"
 #include "src/util/status.h"
 #include "src/util/statusor.h"
@@ -90,6 +92,14 @@ class DeltaChainCursor {
 Status ForEachRetainedVersion(
     const VersionedDocument& doc,
     const std::function<Status(const DeltaChainCursor&)>& visit);
+
+/// Replays the store's retained history into `observers` that were not
+/// attached while it was written: for each document, every retained
+/// version through ForEachRetainedVersion as OnVersionStored (with the
+/// retained transition that led to it), then OnDocumentDeleted if the
+/// document is deleted. Stops at the first walk error.
+Status ReplayRetainedHistory(const VersionedDocumentStore& store,
+                             std::span<StoreObserver* const> observers);
 
 }  // namespace txml
 

@@ -274,34 +274,11 @@ StatusOr<std::unique_ptr<WriteAheadLog>> WriteAheadLog::Open(
 }
 
 StatusOr<uint64_t> WriteAheadLog::Append(const WalRecord& record) {
-  if (poisoned_) {
-    return Status::Unavailable(
-        "wal '" + path_ +
-        "' is poisoned after a failed sync/rollback; restart to recover");
-  }
-  const uint64_t sequence = last_sequence_ + 1;
-  std::string body = EncodeWalRecordBody(record, sequence);
-  std::string framed;
-  PutVarint64(&framed, body.size());
-  framed.append(body);
-  PutFixed32(&framed, crc32c::Mask(crc32c::Value(body)));
-
-  Status written = WriteFramed(framed);
-  if (!written.ok()) return written;
-  file_bytes_ += framed.size();
-  ++record_count_;
-  last_sequence_ = sequence;
-  ++unsynced_records_;
-
-  bool want_sync =
-      options_.sync_mode == WalSyncMode::kAlways ||
-      (options_.sync_mode == WalSyncMode::kEveryN &&
-       unsynced_records_ >= options_.sync_every_n);
-  if (want_sync) {
-    Status synced = SyncLocked();
-    if (!synced.ok()) return synced;
-  }
-  return sequence;
+  std::vector<WalRecord> batch{record};
+  batch.front().sequence = last_sequence_ + 1;
+  Status appended = AppendBatch(batch);
+  if (!appended.ok()) return appended;
+  return batch.front().sequence;
 }
 
 Status WriteAheadLog::AppendBatch(const std::vector<WalRecord>& records) {

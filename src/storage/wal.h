@@ -125,14 +125,9 @@ class WriteAheadLog {
   WriteAheadLog(const WriteAheadLog&) = delete;
   WriteAheadLog& operator=(const WriteAheadLog&) = delete;
 
-  /// Appends `record` (its sequence field is ignored; the next sequence is
-  /// assigned and returned) and applies the sync policy. On a write
-  /// failure the partial append is rolled back (ftruncate to the
-  /// pre-append length) so the file stays clean; if the rollback itself
-  /// fails, or an fsync fails (after which the kernel may have dropped
-  /// dirty pages — the file's durable content is unknowable), the log is
-  /// *poisoned*: every further Append fails kUnavailable until the
-  /// process restarts and recovery re-establishes a trusted tail.
+  /// Appends `record` as a batch of one (AppendBatch) under the next
+  /// sequence, which it assigns and returns; the record's own sequence
+  /// field is ignored.
   StatusOr<uint64_t> Append(const WalRecord& record);
 
   /// Group commit: appends `records` — each carrying a caller-assigned
@@ -142,8 +137,12 @@ class WriteAheadLog {
   /// against its budget; kNone never syncs). The frame bytes on disk are
   /// identical to `records.size()` individual Appends — replay and
   /// replication cannot tell a batch from a run of singles. All-or-
-  /// nothing: a write failure rolls the whole batch back (ftruncate), a
-  /// rollback or fsync failure poisons, exactly as Append.
+  /// nothing: a write failure rolls the whole batch back (ftruncate to
+  /// the pre-append length) so the file stays clean; if the rollback
+  /// itself fails, or an fsync fails (after which the kernel may have
+  /// dropped dirty pages — the file's durable content is unknowable), the
+  /// log is *poisoned*: every further append fails kUnavailable until the
+  /// process restarts and recovery re-establishes a trusted tail.
   Status AppendBatch(const std::vector<WalRecord>& records);
 
   /// Explicit group-commit flush (kNone/kEveryN callers before an ack
@@ -205,7 +204,7 @@ class WriteAheadLog {
   /// via ftruncate on a short write, poisoning when the rollback fails.
   Status WriteFramed(std::string_view framed);
 
-  /// fsync with poisoning semantics (see Append).
+  /// fsync with poisoning semantics (see AppendBatch).
   Status SyncLocked();
 
   std::string path_;

@@ -5,8 +5,8 @@
 #include <string>
 #include <utility>
 
+#include "bench/baselines/delta_fti.h"
 #include "src/core/database.h"
-#include "src/index/delta_fti.h"
 #include "src/xml/parser.h"
 #include "src/workload/restaurant.h"
 #include "src/workload/tdocgen.h"
@@ -106,16 +106,26 @@ TEST(DatabaseTest, DeltaContentIndexOption) {
 }
 
 TEST(DatabaseTest, LifetimeIndexCanBeDisabled) {
-  TemporalXmlDatabase db(DatabaseOptions{.lifetime_index = false});
+  TemporalXmlDatabase db;
   LoadFigure1(&db);
-  EXPECT_EQ(db.lifetime_index(), nullptr);
-  // CREATE TIME still works via delta traversal.
-  auto result = db.QueryToString(
+  ASSERT_NE(db.lifetime_index(), nullptr);
+  // Without the lifetime index in the context, CREATE TIME still works via
+  // delta traversal.
+  QueryContext bare = db.Context();
+  bare.lifetime = nullptr;
+  ExecOptions options;
+  options.now = db.latest_commit();
+  QueryExecutor executor(bare, options);
+  ExecStats stats;
+  auto result = executor.Execute(
       "SELECT CREATE TIME(R) FROM doc(\"" + std::string(kGuideUrl) +
-      "\")[26/01/2001]/restaurant R WHERE R/name = \"Akropolis\"",
-      /*pretty=*/false);
+          "\")[26/01/2001]/restaurant R WHERE R/name = \"Akropolis\"",
+      &stats);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_NE(result->find("15/01/2001"), std::string::npos) << *result;
+  const std::string text = result->ToString();
+  EXPECT_NE(text.find("15/01/2001"), std::string::npos) << text;
+  EXPECT_GT(stats.lifetime_traversals, 0u);
+  EXPECT_EQ(stats.lifetime_index_lookups, 0u);
 }
 
 /// The database's full persistent image: store plus both indexes.

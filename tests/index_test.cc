@@ -4,7 +4,7 @@
 #include <memory>
 #include <string>
 
-#include "src/index/delta_fti.h"
+#include "bench/baselines/delta_fti.h"
 #include "src/index/fti.h"
 #include "src/index/lifetime_index.h"
 #include "src/index/posting.h"

@@ -6,10 +6,13 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "src/core/database.h"
 #include "src/index/fti.h"
 #include "src/index/lifetime_index.h"
+#include "src/util/coding.h"
+#include "src/util/env.h"
 #include "src/workload/tdocgen.h"
 
 namespace txml {
@@ -191,6 +194,62 @@ TEST(DatabasePersistenceTest, CorruptIndexFileTriggersRebuild) {
   auto reopened = TemporalXmlDatabase::Open(dir);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   EXPECT_EQ((*reopened)->fti().posting_count(), postings);
+  std::filesystem::remove_all(dir);
+}
+
+// An index file whose lifetime flag is 0 (no lifetime section) is a
+// mismatch: Open rebuilds both indexes from the store, and the lifetime
+// operators answer exactly as before the save.
+TEST(DatabasePersistenceTest, IndexFileWithoutLifetimeSectionRebuilds) {
+  std::string dir = TempDir("txml_persist_nolifetime");
+  const std::vector<std::string> queries = {
+      "SELECT CREATE TIME(I) FROM doc(\"a\")[06/01/2001]/item I",
+      "SELECT DELETE TIME(I) FROM doc(\"a\")[06/01/2001]/item I",
+      "SELECT CREATE TIME(X) FROM doc(\"b\")[04/01/2001]/x X",
+      "SELECT DELETE TIME(X) FROM doc(\"b\")[04/01/2001]/x X",
+  };
+  std::vector<std::string> expected;
+  size_t postings;
+  size_t lifetime_entries;
+  {
+    auto db = BuildDb();
+    for (const std::string& q : queries) {
+      auto out = db->QueryToString(q, false);
+      ASSERT_TRUE(out.ok()) << q << ": " << out.status().ToString();
+      expected.push_back(*out);
+    }
+    postings = db->fti().posting_count();
+    lifetime_entries = db->lifetime_index()->entry_count();
+    ASSERT_TRUE(db->Save(dir).ok());
+  }
+  EXPECT_NE(expected[0].find("01/01/2001"), std::string::npos) << expected[0];
+  EXPECT_NE(expected[3].find("05/01/2001"), std::string::npos) << expected[3];
+
+  // Keep magic, fingerprint and FTI section; write flag 0 and no lifetime
+  // section after them.
+  const std::string path = dir + "/indexes.txml";
+  auto blob = ReadFileToString(path);
+  ASSERT_TRUE(blob.ok()) << blob.status().ToString();
+  Decoder decoder(*blob);
+  ASSERT_TRUE(decoder.ReadFixed32().ok());
+  ASSERT_TRUE(decoder.ReadFixed32().ok());
+  ASSERT_TRUE(decoder.ReadLengthPrefixed().ok());
+  auto flag = decoder.ReadVarint32();
+  ASSERT_TRUE(flag.ok());
+  ASSERT_EQ(*flag, 1u);
+  std::string rewritten = blob->substr(0, decoder.position() - 1);
+  PutVarint32(&rewritten, 0);
+  ASSERT_TRUE(WriteStringToFile(path, rewritten).ok());
+
+  auto reopened = TemporalXmlDatabase::Open(dir);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ((*reopened)->fti().posting_count(), postings);
+  EXPECT_EQ((*reopened)->lifetime_index()->entry_count(), lifetime_entries);
+  for (size_t i = 0; i < queries.size(); ++i) {
+    auto out = (*reopened)->QueryToString(queries[i], false);
+    ASSERT_TRUE(out.ok()) << queries[i] << ": " << out.status().ToString();
+    EXPECT_EQ(*out, expected[i]) << queries[i];
+  }
   std::filesystem::remove_all(dir);
 }
 

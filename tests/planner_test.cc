@@ -147,20 +147,20 @@ TEST(PlannerTest, PinnedArmsAgreeOverManyDocuments) {
   }
 }
 
-// Regression: a pinned kIndex lifetime strategy on a database built
-// without the lifetime index used to hit a TXML_CHECK on the null index
-// pointer and abort. It must degrade to traversal, answer correctly, and
-// count the substitution.
+// Regression: a pinned kIndex lifetime strategy on a context without the
+// lifetime index used to hit a TXML_CHECK on the null index pointer and
+// abort. It must degrade to traversal, answer correctly, and count the
+// substitution.
 TEST(PlannerTest, LifetimeIndexPinWithoutIndexFallsBack) {
-  DatabaseOptions db_options;
-  db_options.lifetime_index = false;
-  TemporalXmlDatabase db(db_options);
+  TemporalXmlDatabase db;
   PutHistory(&db);
+  QueryContext bare = db.Context();
+  bare.lifetime = nullptr;
 
   ExecOptions options;
   options.now = Day(30);
   options.lifetime_strategy = LifetimeStrategy::kIndex;
-  QueryExecutor executor(db.Context(), options);
+  QueryExecutor executor(bare, options);
   ExecStats stats;
   auto result = executor.Execute(
       "SELECT CREATE TIME(R) FROM doc(\"u\")[05/01/2001]/item R "
@@ -174,13 +174,11 @@ TEST(PlannerTest, LifetimeIndexPinWithoutIndexFallsBack) {
   EXPECT_GT(stats.lifetime_traversals, 0u);
   EXPECT_EQ(stats.lifetime_index_lookups, 0u);
 
-  // And the answer matches a database that has the index.
-  TemporalXmlDatabase indexed;
-  PutHistory(&indexed);
+  // And the answer matches the context that has the index.
   ExecOptions indexed_options;
   indexed_options.now = Day(30);
   indexed_options.lifetime_strategy = LifetimeStrategy::kIndex;
-  QueryExecutor indexed_executor(indexed.Context(), indexed_options);
+  QueryExecutor indexed_executor(db.Context(), indexed_options);
   ExecStats indexed_stats;
   auto indexed_result = indexed_executor.Execute(
       "SELECT CREATE TIME(R) FROM doc(\"u\")[05/01/2001]/item R "

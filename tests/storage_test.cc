@@ -6,9 +6,9 @@
 #include <tuple>
 #include <vector>
 
+#include "bench/baselines/stratum_store.h"
 #include "src/storage/delta_index.h"
 #include "src/storage/store.h"
-#include "src/storage/stratum_store.h"
 #include "src/storage/versioned_document.h"
 #include "src/util/random.h"
 #include "src/xml/parser.h"

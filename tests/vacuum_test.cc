@@ -354,14 +354,24 @@ TEST(VacuumTest, HistoryKeepsGrowingAfterVacuum) {
   EXPECT_EQ(doc->first_retained(), 15u);
 }
 
-// Without the lifetime index, CREATE/DELETE TIME fall back to scanning
-// retained deltas; for elements born at or after the horizon the answers
-// must still be exact (their inserts live in the dense zone).
+// Pinned to delta traversal, CREATE/DELETE TIME scan retained deltas
+// instead of the lifetime index; for elements born at or after the horizon
+// the answers must still be exact (their inserts live in the dense zone).
 TEST(VacuumTest, DeltaTraversalTimeOpsSurviveDropForPostHorizonElements) {
-  DatabaseOptions options;
-  options.snapshot_every = 4;
-  options.lifetime_index = false;
-  auto db = std::make_unique<TemporalXmlDatabase>(options);
+  auto db = std::make_unique<TemporalXmlDatabase>(
+      DatabaseOptions{.snapshot_every = 4});
+  auto run_traversal = [&db](const std::string& query) {
+    ExecOptions exec_options;
+    exec_options.now = db->latest_commit();
+    exec_options.lifetime_strategy = LifetimeStrategy::kTraversal;
+    QueryExecutor executor(db->Context(), exec_options);
+    ExecStats stats;
+    auto out = executor.Execute(query, &stats);
+    EXPECT_TRUE(out.ok()) << query << ": " << out.status().ToString();
+    EXPECT_GT(stats.lifetime_traversals, 0u) << query;
+    EXPECT_EQ(stats.lifetime_index_lookups, 0u) << query;
+    return out.ok() ? out->ToString() : "<error/>";
+  };
 
   // The rolling-lifecycle history of BuildGuideDb is unusable here: the
   // differ pairs each transition's deleted item with its inserted item
@@ -389,13 +399,13 @@ TEST(VacuumTest, DeltaTraversalTimeOpsSurviveDropForPostHorizonElements) {
                       "]/guide/item R WHERE R/name = \"fresh\"");
   }
   std::vector<std::string> before;
-  for (const std::string& q : queries) before.push_back(RunQuery(db.get(), q));
+  for (const std::string& q : queries) before.push_back(run_traversal(q));
   EXPECT_NE(before[0].find(DayStr(12)), std::string::npos) << before[0];
   EXPECT_NE(before[1].find(DayStr(20)), std::string::npos) << before[1];
 
   ASSERT_TRUE(db->Vacuum(RetentionPolicy::DropBefore(Day(10))).ok());
   for (size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_EQ(RunQuery(db.get(), queries[i]), before[i]) << queries[i];
+    EXPECT_EQ(run_traversal(queries[i]), before[i]) << queries[i];
   }
 }
 

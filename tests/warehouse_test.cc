@@ -10,8 +10,8 @@
 #include <string>
 #include <tuple>
 
+#include "bench/baselines/stratum_store.h"
 #include "src/core/database.h"
-#include "src/storage/stratum_store.h"
 #include "src/util/random.h"
 #include "src/workload/tdocgen.h"
 #include "src/xml/pattern.h"

@@ -60,6 +60,12 @@ tier-1 ctest (tests/CMakeLists.txt) and as stage 7 of scripts/check.sh:
                   Run executes (DESIGN.md §13). Definitions and
                   declarations (the name right after a type) are not
                   call sites.
+  no-baseline-in-src
+                  Nothing under src/ includes a header from bench/ or
+                  names StratumStore / DeltaContentIndex: the paper's
+                  comparators (E5's full copies, E3's delta-content
+                  index) live in bench/baselines/ (txml_baselines), so
+                  the serving libraries hold only serving code.
 
 Usage:
   txml_lint.py [--root REPO_DIR]   lint the tree; exit 1 on any finding
@@ -109,6 +115,8 @@ INDEX_SCAN_OWNERS = (os.path.join("src", "query", "scan.h"),
 PLAN_STEP_RE = re.compile(
     r"(?<![\w:.>])(PlanScan|BuildPattern|ResolveDocs)\s*\(")
 PLANNER = os.path.join("src", "lang", "executor.cc")
+BENCH_INCLUDE_RE = re.compile(r'#\s*include\s+"bench/')
+BASELINE_NAME_RE = re.compile(r"\b(StratumStore|DeltaContentIndex)\b")
 
 
 def strip_line_comment(line):
@@ -394,6 +402,26 @@ def check_one_plan(root):
     return findings
 
 
+def check_no_baseline_in_src(root):
+    """no-baseline-in-src: the experiment baselines stay out of src/."""
+    findings = []
+    for path in iter_source_files(root, "src"):
+        rel = relpath(root, path)
+        with open(path, encoding="utf-8") as fp:
+            for lineno, line in enumerate(fp, 1):
+                if BENCH_INCLUDE_RE.search(line):
+                    findings.append(
+                        ("no-baseline-in-src", rel, lineno,
+                         "src/ includes from bench/; the serving libraries "
+                         "do not depend on benchmark code"))
+                for match in BASELINE_NAME_RE.finditer(line):
+                    findings.append(
+                        ("no-baseline-in-src", rel, lineno,
+                         f"{match.group(1)} is an experiment baseline; it "
+                         "lives in bench/baselines/ (txml_baselines)"))
+    return findings
+
+
 CHECKS = (
     check_raw_primitives,
     check_frame_coverage,
@@ -404,6 +432,7 @@ CHECKS = (
     check_one_xml_writer,
     check_scoped_index_scan,
     check_one_plan,
+    check_no_baseline_in_src,
 )
 
 
@@ -523,6 +552,16 @@ def build_tree(root, seeded):
            "                        ConstTime({t, u}));\n"
            "    return PlanScan(ctx_, pattern, kind, docs, strategy);\n"
            if seeded else ""))
+    # no-baseline-in-src: bench/ and tests/ may use the baselines; src/
+    # may neither include them nor name them.
+    write(root, "bench/bench_vs_stratum.cc",
+          "#include \"bench/baselines/stratum_store.h\"\n"
+          "StratumStore stratum;\n")
+    write(root, "tests/index_test.cc", "DeltaContentIndex index_;\n")
+    if seeded:
+        write(root, "src/storage/full_copies.h",
+              "#include \"bench/baselines/stratum_store.h\"\n"
+              "std::unique_ptr<DeltaContentIndex> events_;\n")
     write(root, "src/diff/edit_script.cc",
           "Status EditScript::ApplyForward(XmlNode* root,\n"
           "                                XidIndex* index) const {}\n")
@@ -551,7 +590,8 @@ def self_test():
         got_rules = {rule for rule, _, _, _ in findings}
         want_rules = {"raw-primitive", "frame-coverage", "lock-rank",
                       "no-assert", "one-chain-walker", "one-commit-path",
-                      "one-xml-writer", "scoped-index-scan", "one-plan"}
+                      "one-xml-writer", "scoped-index-scan", "one-plan",
+                      "no-baseline-in-src"}
         missing = want_rules - got_rules
         if missing:
             print(f"self-test FAILED: rules {sorted(missing)} did not "
