@@ -42,13 +42,13 @@
 //   --read-only    reject writes without being a follower (a frozen serving
 //                  copy); implied by --replica-of
 //   --reseed=on|off
-//                  checkpoint re-seed (DESIGN.md §14; default on). On a
-//                  durable server: serve checkpoint transfers to
-//                  below-floor followers. With --replica-of: re-seed
-//                  automatically when the leader's log has moved past this
-//                  follower's cursor. Off restores the old behavior (the
-//                  applier parks and re-probes on a slow timer; the
-//                  operator copies a checkpoint by hand)
+//                  checkpoint re-seed (DESIGN.md §14; default on): a
+//                  durable server serves checkpoint transfers to
+//                  below-floor followers. Off refuses them, so such a
+//                  follower parks and re-probes on a slow timer (the
+//                  operator copies a checkpoint by hand). A follower
+//                  (--replica-of) always asks its leader for a re-seed
+//                  once the leader's log has moved past its cursor
 //   --reseed-chunk-bytes=N
 //                  archive bytes per checkpoint chunk frame when serving
 //                  re-seeds (default 1 MiB)
@@ -324,7 +324,6 @@ int main(int argc, char** argv) {
   std::unique_ptr<txml::ReplicaApplier> applier;
   if (!data_dir.empty()) {
     txml::WalShipper::Options shipper_options;
-    shipper_options.serve_checkpoints = reseed;
     if (reseed_chunk_bytes != 0) {
       shipper_options.checkpoint_chunk_bytes = reseed_chunk_bytes;
     }
@@ -335,11 +334,13 @@ int main(int argc, char** argv) {
                    const txml::ReplSubscribeRequest& subscribe) {
           shipper->Serve(socket, subscribe);
         };
-    server_options.checkpoint_handler =
-        [&shipper](txml::Socket* socket,
-                   const txml::CheckpointRequest& request) {
-          shipper->ServeCheckpoint(socket, request);
-        };
+    if (reseed) {
+      server_options.checkpoint_handler =
+          [&shipper](txml::Socket* socket,
+                     const txml::CheckpointRequest& request) {
+            shipper->ServeCheckpoint(socket, request);
+          };
+    }
   }
   if (!replica_of.empty()) {
     server_options.read_only = true;
@@ -348,7 +349,6 @@ int main(int argc, char** argv) {
     applier_options.leader_host = leader_host;
     applier_options.leader_port = leader_port;
     applier_options.follower_name = "txml-" + std::to_string(getpid());
-    applier_options.reseed_enabled = reseed;
     applier = std::make_unique<txml::ReplicaApplier>(service->get(),
                                                      applier_options);
   }

@@ -190,36 +190,32 @@ void ReplicaApplier::Run() {
     if (session.IsOutOfRange()) {
       // The leader's log no longer reaches our cursor — resubscribing
       // cannot help. Stream its newest checkpoint instead (DESIGN.md
-      // §14), unless re-seeding is off or the leader refuses, in which
-      // case park recoverably on the slow retry timer.
-      Status park_reason = session;
-      if (options_.reseed_enabled) {
-        Status reseed = RunReseed();
-        if (stopping_.load()) break;
-        if (reseed.ok()) {
-          failures = 0;
-          continue;  // resubscribe from the freshly installed floor
-        }
-        if (!reseed.IsInvalidArgument()) {
-          // Transient transfer failure (connection died, torn chunk):
-          // normal backoff; the kept partial archive makes the next
-          // attempt resume where this one stopped.
-          SetError(reseed);
-          BackoffSleep(failures++);
-          continue;
-        }
-        park_reason = reseed;  // the leader refused to serve
+      // §14), unless the leader refuses, in which case park recoverably
+      // on the slow retry timer.
+      Status reseed = RunReseed();
+      if (stopping_.load()) break;
+      if (reseed.ok()) {
+        failures = 0;
+        continue;  // resubscribe from the freshly installed floor
       }
+      if (!reseed.IsInvalidArgument()) {
+        // Transient transfer failure (connection died, torn chunk):
+        // normal backoff; the kept partial archive makes the next
+        // attempt resume where this one stopped.
+        SetError(reseed);
+        BackoffSleep(failures++);
+        continue;
+      }
+      // The leader refused to serve.
       {
         MutexLock lock(mu_);
         state_.fatal = true;
-        state_.last_error = park_reason.ToString();
+        state_.last_error = reseed.ToString();
         // Wake anyone sampling the state through a wait on stop_cv_ so
         // the park is observed without a Stop().
         stop_cv_.SignalAll();
       }
-      TXML_LOG_WARN("replication parked: %s",
-                    park_reason.ToString().c_str());
+      TXML_LOG_WARN("replication parked: %s", reseed.ToString().c_str());
       FatalRetrySleep();
       failures = 0;
       continue;
@@ -268,12 +264,10 @@ Status ReplicaApplier::RunSession(bool* progressed) {
         case FrameType::kReplBatch: {
           TXML_ASSIGN_OR_RETURN(ReplBatch batch,
                                 DecodeReplBatch(frame->payload));
-          for (const WalRecord& record : batch.records) {
-            // A failure here is session-fatal: the record did not reach
-            // our WAL, so acking past it would lose it forever. Reconnect
-            // and let the leader resend from our (unadvanced) floor.
-            TXML_RETURN_IF_ERROR(service_->ApplyReplicated(record));
-          }
+          // A failure here is session-fatal: the batch did not reach our
+          // WAL, so acking past it would lose it forever. Reconnect and
+          // let the leader resend from our (unadvanced) floor.
+          TXML_RETURN_IF_ERROR(service_->ApplyReplicated(batch.records));
           uint64_t applied = service_->applied_sequence();
           {
             MutexLock lock(mu_);

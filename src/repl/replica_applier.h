@@ -50,20 +50,22 @@ Status ReceiveCheckpointStream(Socket* socket, size_t max_frame_bytes,
 
 /// The follower side of WAL-shipping replication (DESIGN.md §11): a
 /// background thread that connects to the leader, subscribes from this
-/// node's own applied floor, and feeds every shipped record through
-/// TemporalQueryService::ApplyReplicated — the same idempotence-guarded
-/// path crash recovery replays through, persisting the leader's sequence
-/// numbers into the follower's local WAL (so the resume cursor survives a
-/// follower restart with no extra state file).
+/// node's own applied floor, and hands every shipped batch to
+/// TemporalQueryService::ApplyReplicated in one call — persisted with the
+/// leader's sequence numbers into the follower's local WAL (so the resume
+/// cursor survives a follower restart with no extra state file), then
+/// applied through the same idempotence-guarded path crash recovery
+/// replays through.
 ///
 /// Disconnects and leader restarts are retried forever with jittered
 /// exponential backoff. The leader's kOutOfRange (our cursor predates its
 /// log — its checkpoint moved past us while we were down) triggers an
 /// automatic re-seed (DESIGN.md §14): the applier streams the leader's
 /// newest checkpoint, installs it atomically, and resumes the normal
-/// subscribe loop. Only when the leader refuses the transfer (or
-/// re-seeding is disabled) does the applier park in the `fatal` state —
-/// recoverably: it re-probes on a slow timer instead of halting.
+/// subscribe loop. Only when the leader refuses the transfer (a leader
+/// started with --reseed=off serves none) does the applier park in the
+/// `fatal` state — recoverably: it re-probes on a slow timer instead of
+/// halting.
 class ReplicaApplier {
  public:
   struct Options {
@@ -83,11 +85,6 @@ class ReplicaApplier {
     int backoff_max_ms = 5000;
     /// 0 = fixed default seed (deterministic tests).
     uint64_t jitter_seed = 0;
-    /// Answer the leader's kOutOfRange with an automatic checkpoint
-    /// re-seed (DESIGN.md §14). Off, the applier parks in the fatal
-    /// state on its slow retry timer — the operator-copies-a-checkpoint
-    /// workflow.
-    bool reseed_enabled = true;
     /// How long a parked (fatal) applier sleeps before re-probing the
     /// leader. Parking is recoverable: a leader that starts serving
     /// checkpoints (or whose log floor drops back under our cursor)
@@ -98,9 +95,9 @@ class ReplicaApplier {
   /// Point-in-time view of the replication session.
   struct State {
     bool connected = false;
-    /// The leader refused a needed re-seed (or re-seeding is disabled):
-    /// the applier is parked, re-probing every fatal_retry_ms. Cleared
-    /// when a session or re-seed makes progress again.
+    /// The leader refused a needed re-seed: the applier is parked,
+    /// re-probing every fatal_retry_ms. Cleared when a session or re-seed
+    /// makes progress again.
     bool fatal = false;
     /// A checkpoint transfer (DESIGN.md §14) is in flight.
     bool reseeding = false;

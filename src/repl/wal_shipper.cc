@@ -129,14 +129,6 @@ void WalShipper::ServeCheckpoint(Socket* socket,
                              "replication requires a durable leader (no WAL)"));
     return;
   }
-  if (!options_.serve_checkpoints) {
-    // kInvalidArgument is the refusal vocabulary the applier parks on
-    // (slow retry timer) instead of fast-retrying.
-    SendResponse(socket,
-                 Status::InvalidArgument(
-                     "checkpoint re-seed serving is disabled on this leader"));
-    return;
-  }
   auto image = service_->ExportCheckpoint();
   if (!image.ok()) {
     SendResponse(socket, image.status());

@@ -40,10 +40,6 @@ class WalShipper {
     /// Idle interval after which a heartbeat probes the follower (and
     /// refreshes its lag figure).
     int64_t heartbeat_interval_ms = 500;
-    /// Answer kCheckpointRequest with the newest checkpoint (DESIGN.md
-    /// §14). Off, below-floor followers are refused (kInvalidArgument)
-    /// and park on their slow retry timer — the pre-re-seed behavior.
-    bool serve_checkpoints = true;
     /// Archive bytes per kCheckpointChunk frame. Must leave headroom
     /// under the peer's max-frame budget for the envelope itself.
     uint64_t checkpoint_chunk_bytes = 1u << 20;
@@ -88,8 +84,9 @@ class WalShipper {
   /// request's resume offset when its CRC still names this archive), and
   /// streams kCheckpointChunk frames — each acked by the follower with
   /// its cumulative received offset — until the archive is complete or
-  /// the connection dies. Refusals (serving disabled, in-memory leader)
-  /// are reported as a normal response header before closing.
+  /// the connection dies. A refusal (in-memory leader) is reported as a
+  /// normal response header before closing. A server that should not
+  /// serve re-seeds leaves its checkpoint handler unwired instead.
   void ServeCheckpoint(Socket* socket, const CheckpointRequest& request)
       EXCLUDES(mu_);
 

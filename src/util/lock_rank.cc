@@ -52,18 +52,31 @@ struct HeldLock {
   uint64_t seq;
 };
 
-// Function-local so first use from any thread constructs it; trivial
-// destruction order issues are avoided by never touching it from other
-// threads' teardown.
-std::vector<HeldLock>& HeldStack() {
-  thread_local std::vector<HeldLock> held;
-  return held;
+// Set once the calling thread's stack is destroyed. Trivially
+// destructible, so it stays readable after that: glibc's exit() runs the
+// main thread's thread_local destructors before static destructors, and
+// those may still lock (a static server stopping, a pool joining).
+thread_local bool t_stack_destroyed = false;
+
+struct HeldStackStorage {
+  std::vector<HeldLock> held;
+  ~HeldStackStorage() { t_stack_destroyed = true; }
+};
+
+// The calling thread's held-rank stack, or null once it is destroyed: an
+// acquisition during the thread's own teardown is not checked.
+std::vector<HeldLock>* HeldStack() {
+  if (t_stack_destroyed) return nullptr;
+  thread_local HeldStackStorage storage;
+  return &storage.held;
 }
 
 }  // namespace
 
 void LockRankChecker::NoteAcquire(LockRank rank, uint64_t seq) {
-  std::vector<HeldLock>& held = HeldStack();
+  std::vector<HeldLock>* stack = HeldStack();
+  if (stack == nullptr) return;
+  std::vector<HeldLock>& held = *stack;
   if (!held.empty()) {
     const HeldLock& top = held.back();
     if (LockRankValue(rank) > LockRankValue(top.rank)) {
@@ -95,7 +108,9 @@ void LockRankChecker::NoteAcquire(LockRank rank, uint64_t seq) {
 }
 
 void LockRankChecker::NoteRelease(LockRank rank, uint64_t seq) {
-  std::vector<HeldLock>& held = HeldStack();
+  std::vector<HeldLock>* stack = HeldStack();
+  if (stack == nullptr) return;
+  std::vector<HeldLock>& held = *stack;
   // Search from the top: locks are usually released LIFO, but
   // UnlockAllShards releases stripes FIFO, so the match may be deeper.
   for (size_t i = held.size(); i > 0; --i) {
@@ -112,7 +127,8 @@ void LockRankChecker::NoteRelease(LockRank rank, uint64_t seq) {
 }
 
 int LockRankChecker::HeldDepthForTest() {
-  return static_cast<int>(HeldStack().size());
+  std::vector<HeldLock>* held = HeldStack();
+  return held == nullptr ? 0 : static_cast<int>(held->size());
 }
 
 #endif  // TXML_LOCK_RANK

@@ -38,8 +38,9 @@ enum class LockRank : int {
   kServer = 1300,
 
   // repl/replica_applier.h ReplicaApplier::mu_ — applier session state.
-  // The applier thread calls Service::ApplyReplicated (stripes and
-  // below), so it sits above the whole service layer.
+  // The applier thread calls Service::ApplyReplicated once per batch
+  // (stripes, then ApplyLogged's commit lock and below), so it sits above
+  // the whole service layer.
   kReplApplier = 1200,
 
   // repl/wal_shipper.h WalShipper::mu_ — follower stats map. Shipper
@@ -57,32 +58,36 @@ enum class LockRank : int {
 
   // service/service.h CommitShard::mu — per-document commit-lock
   // stripes. The only rank allowing same-rank nesting: LockAllShards
-  // (fold, vacuum, checkpoint, ApplyReplicated) takes every stripe in
-  // ascending index order, enforced via the per-lock sequence number.
+  // (fold, vacuum, checkpoint, install, ApplyReplicated) takes every
+  // stripe in ascending index order, enforced via the per-lock sequence
+  // number.
   kCommitStripe = 800,
 
   // service/service.h commit_mu_ — single-writer/multi-reader apply
-  // lock. Exclusive holders reach the ticket allocator (re-init paths),
-  // cache shards (observer fan-out) and failpoints (checkpoint I/O).
+  // lock. ApplyLogged prepares logged puts under the shared side and
+  // publishes them under the exclusive one; holders reach cache shards
+  // (observer fan-out) and failpoints (checkpoint I/O).
   kCommitApply = 700,
 
   // service/service.h turn_mu_ — apply turnstile. Taken under stripes,
-  // never while commit_mu_ is wanted (BeginTurn returns before apply).
+  // never while commit_mu_ is wanted (BeginTurn returns before apply;
+  // ContinueAfter advances it with nothing but stripes held).
   kTurnstile = 600,
 
   // service/service.h ticket_mu_ — ticket allocator. Taken under a
-  // stripe on the commit path and under exclusive commit_mu_ during
-  // construction/InstallCheckpoint; enqueues into the WAL queue.
+  // stripe on the commit path (enqueues into the WAL queue) and by
+  // ContinueAfter, after it read the database clock under commit_mu_.
   kTicket = 500,
 
   // storage/wal.h GroupCommitWal::mu_ — group-commit queue. Enqueue runs
-  // inside the ticket critical section; Wait/Append/Reset run under
+  // inside the ticket critical section (commits) or under stripes
+  // (ApplyReplicated's one submission per batch); Wait/Reset run under
   // stripes.
   kWalQueue = 400,
 
   // storage/wal_tail.h WalTailBuffer::mu_ — live replication tail.
   // Pushed by the log-writer thread lock-free of kWalQueue; SetFloor
-  // runs under stripes during checkpoint install.
+  // runs in ContinueAfter, under stripes during checkpoint install.
   kWalTail = 350,
 
   // service/snapshot_cache.h Shard::mu — snapshot-cache shards. Taken
@@ -114,10 +119,12 @@ const char* LockRankName(LockRank rank);
 /// Thread-local held-rank stack. Mutex/SharedMutex call NoteAcquire on
 /// every successful acquisition (shared or exclusive, Lock or TryLock)
 /// and NoteRelease on every release; NoteAcquire TXML_LOG_FATALs on any
-/// acquisition that is out of rank order. CondVar::Wait keeps the
-/// waited-on lock's entry on the stack: the lock is logically held
-/// across the wait, and the thread cannot acquire anything else while
-/// blocked in it.
+/// acquisition that is out of rank order. Once the thread's stack is
+/// destroyed (thread exit; for the main thread, exit() before static
+/// destructors run) further calls check and record nothing.
+/// CondVar::Wait keeps the waited-on lock's entry on the stack: the lock
+/// is logically held across the wait, and the thread cannot acquire
+/// anything else while blocked in it.
 class LockRankChecker {
  public:
   static void NoteAcquire(LockRank rank, uint64_t seq);

@@ -326,7 +326,7 @@ TEST(CompactionDurabilityTest, ReplicatedApplyWithInFlightFolds) {
   ASSERT_TRUE(replay.ok()) << replay.status().ToString();
   ASSERT_FALSE(replay->records.empty());
   for (const WalRecord& record : replay->records) {
-    ASSERT_TRUE((*follower)->ApplyReplicated(record).ok());
+    ASSERT_TRUE((*follower)->ApplyReplicated({&record, 1}).ok());
   }
   EXPECT_GT((*follower)->Stats().fti.compactions, 0u);
 

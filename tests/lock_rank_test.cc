@@ -13,6 +13,7 @@
 // the TSan stage.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -132,6 +133,26 @@ TEST(LockRankTest, CondVarWaitKeepsTheLockOnTheStack) {
 }
 
 #endif  // TXML_LOCK_RANK
+
+// glibc's exit() destroys the main thread's thread_locals before it runs
+// static destructors, and a static whose destructor locks (a server
+// stopping, a pool joining) must not touch the destroyed held-rank stack.
+// Only ASan sees that write into freed memory (a heap-use-after-free in
+// LockRankChecker::NoteAcquire), so check.sh runs this suite under it.
+TEST(LockRankTest, StaticDestructorMayLockDuringExit) {
+  EXPECT_EXIT(
+      {
+        struct LocksOnDestruction {
+          Mutex mu{LockRank::kServer};
+          ~LocksOnDestruction() { MutexLock lock(mu); }
+        };
+        static LocksOnDestruction locker;
+        // Gives the stack heap storage before exit() destroys it.
+        { MutexLock lock(locker.mu); }
+        std::exit(0);
+      },
+      ::testing::ExitedWithCode(0), "");
+}
 
 // The fold / vacuum / checkpoint triple end to end. Each of these paths
 // quiesces the commit lattice its own way (fold: all stripes → exclusive

@@ -147,9 +147,12 @@ WalShipper::Options FastShipperOptions() {
   return options;
 }
 
+/// A durable leader serving subscriptions. Without `serve_checkpoints` its
+/// server has no checkpoint handler, as `txml_server --reseed=off` runs.
 std::unique_ptr<Leader> StartLeader(
     const std::string& dir,
-    WalShipper::Options shipper_options = FastShipperOptions()) {
+    WalShipper::Options shipper_options = FastShipperOptions(),
+    bool serve_checkpoints = true) {
   auto leader = std::make_unique<Leader>();
   auto service = TemporalQueryService::Create(DurableOptions(dir));
   EXPECT_TRUE(service.ok()) << service.status().ToString();
@@ -164,10 +167,12 @@ std::unique_ptr<Leader> StartLeader(
                                           const ReplSubscribeRequest& sub) {
     shipper->Serve(socket, sub);
   };
-  server_options.checkpoint_handler =
-      [shipper](Socket* socket, const CheckpointRequest& request) {
-        shipper->ServeCheckpoint(socket, request);
-      };
+  if (serve_checkpoints) {
+    server_options.checkpoint_handler =
+        [shipper](Socket* socket, const CheckpointRequest& request) {
+          shipper->ServeCheckpoint(socket, request);
+        };
+  }
   server_options.stats_extra = [shipper](XmlNode* stats) {
     stats->AddChild(shipper->StatsElement());
   };
@@ -401,10 +406,9 @@ TEST(ReplicationTest, ReseedRefusalParksRecoverably) {
   // the operator-driven workflow — but the park is no longer a dead
   // thread: the applier surfaces fatal + the refusal, then keeps
   // re-probing the leader on its slow retry timer.
-  WalShipper::Options shipper_options = FastShipperOptions();
-  shipper_options.serve_checkpoints = false;
-  auto leader =
-      StartLeader(CheckpointedLeaderDir("park_leader", 3), shipper_options);
+  auto leader = StartLeader(CheckpointedLeaderDir("park_leader", 3),
+                            FastShipperOptions(),
+                            /*serve_checkpoints=*/false);
   ASSERT_NE(leader, nullptr);
 
   auto follower = StartFollower(TempDir("park_f1"), leader->port(), "f1",
@@ -501,10 +505,9 @@ TEST(ReplicationTest, ParkAndStopRaceStress) {
   // polls GetState and lands Stop() anywhere in the connect → refuse →
   // park → re-probe cycle. The pre-fix park returned without signaling,
   // so a Stop racing the (then-final) state write could observe it torn.
-  WalShipper::Options shipper_options = FastShipperOptions();
-  shipper_options.serve_checkpoints = false;  // force the park path
-  auto leader =
-      StartLeader(CheckpointedLeaderDir("race_leader", 2), shipper_options);
+  auto leader = StartLeader(CheckpointedLeaderDir("race_leader", 2),
+                            FastShipperOptions(),
+                            /*serve_checkpoints=*/false);  // force the park
   ASSERT_NE(leader, nullptr);
 
   for (int round = 0; round < 8; ++round) {
