@@ -54,7 +54,9 @@ class SharedServer {
     spec.mutations_per_version = 4;
     ServiceOptions options;
     options.snapshot_cache_capacity = 256;
-    options.worker_threads = 1;  // unused: handlers execute synchronously
+    // Queries run on the handler threads; only write batches and replay
+    // fan out onto the pool, and this benchmark issues neither.
+    options.worker_threads = 1;
     service_ = std::make_unique<TemporalQueryService>(options,
                                                       BuildHistory(spec));
     ServerOptions server_options;

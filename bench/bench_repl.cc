@@ -64,7 +64,9 @@ std::string ScratchDir(const std::string& name) {
 
 ServiceOptions DurableOptions(const std::string& dir) {
   ServiceOptions options;
-  options.worker_threads = 1;  // unused: handlers execute synchronously
+  // A follower batch prepares its windows on the applier thread plus
+  // this many pool workers (ApplyLogged).
+  options.worker_threads = 1;
   options.durability.data_dir = dir;
   options.durability.wal.sync_mode = WalSyncMode::kNone;
   options.durability.checkpoint_log_bytes = 0;

@@ -49,7 +49,9 @@ TemporalQueryService* SharedService(bool with_cache) {
     spec.mutations_per_version = 4;
     ServiceOptions options;
     options.snapshot_cache_capacity = with_cache ? 256 : 0;
-    options.worker_threads = 1;  // unused: the benchmark is synchronous
+    // Queries and single puts run on the caller's thread; only write
+    // batches and replay fan out onto the pool.
+    options.worker_threads = 1;
     slot = std::make_unique<TemporalQueryService>(options, BuildHistory(spec));
   }
   return slot.get();

@@ -59,8 +59,10 @@ TSAN_FILTER="-R Service|ThreadPool|StoreObserver|Net|Wire|Vacuum|ClientRetry|Rep
 # are exactly the pointer surgery ASan is for), and the delta-chain cursor
 # suites (forged deltas against the dense XID index), and the lock-rank
 # suite (its exit-time case touches the checker after the main thread's
-# thread_locals are destroyed — a use-after-free only ASan reports).
-ASAN_FILTER="-R DeltaChainCursor|Vacuum|Retention|MergeEditScripts|Storage|Persist|Service|Wal|Durab|CrashRecovery|FailPoint|Repl|Compaction|LockRank"
+# thread_locals are destroyed — a use-after-free only ASan reports), and
+# the thread-pool suite (ThreadPool::ForEach's claim state must outlive a
+# caller that returned before its late helpers ran).
+ASAN_FILTER="-R DeltaChainCursor|Vacuum|Retention|MergeEditScripts|Storage|Persist|Service|Wal|Durab|CrashRecovery|FailPoint|Repl|Compaction|LockRank|ThreadPool"
 JOBS=$(nproc)
 FUZZ_SECS=10
 while [[ $# -gt 0 ]]; do

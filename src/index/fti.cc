@@ -371,26 +371,31 @@ StatusOr<std::pair<std::string, std::vector<Posting>>> DecodePostingList(
 }  // namespace
 
 void TemporalFullTextIndex::EncodeTo(std::string* dst) const {
-  // Always the *merged* view — persistence is independent of when the
-  // last compaction ran, so checkpoints match across leader/follower even
-  // when their compaction thresholds differ.
+  // Canonical bytes: terms in sorted order, each with its merged list
+  // (main then differential — the order a fold leaves them in). The same
+  // history therefore encodes identically whenever the last fold ran, so
+  // a leader's and a follower's checkpoints of it match byte for byte
+  // even when their fold thresholds differ.
   for (const PostingMap* map : {&names_, &words_}) {
     TermKind kind =
         map == &names_ ? TermKind::kElementName : TermKind::kWord;
     const PostingMap& adds = diff_.MapFor(kind);
-    size_t terms = map->size();
+    std::vector<const std::string*> terms;
+    terms.reserve(map->size() + adds.size());
+    for (const auto& [term, list] : *map) terms.push_back(&term);
     for (const auto& [term, list] : adds) {
-      if (!map->contains(term)) ++terms;
+      if (!map->contains(term)) terms.push_back(&term);
     }
-    PutVarint64(dst, terms);
-    for (const auto& [term, list] : *map) {
-      auto it = adds.find(term);
-      EncodePostingList(term, &list, it == adds.end() ? nullptr : &it->second,
-                        dst);
-    }
-    for (const auto& [term, list] : adds) {
-      if (map->contains(term)) continue;
-      EncodePostingList(term, nullptr, &list, dst);
+    std::sort(terms.begin(), terms.end(),
+              [](const std::string* a, const std::string* b) {
+                return *a < *b;
+              });
+    PutVarint64(dst, terms.size());
+    for (const std::string* term : terms) {
+      auto main = map->find(*term);
+      auto added = adds.find(*term);
+      EncodePostingList(*term, main == map->end() ? nullptr : &main->second,
+                        added == adds.end() ? nullptr : &added->second, dst);
     }
   }
 }

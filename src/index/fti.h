@@ -102,7 +102,9 @@ class TemporalFullTextIndex : public StoreObserver {
   /// Compact persistence: posting lists with delta/varint encoding. The
   /// incremental-maintenance state (open-occurrence map) is rebuilt from
   /// the open-ended postings on decode, so a loaded index keeps accepting
-  /// writes.
+  /// writes. The bytes are canonical: terms sorted, each list main then
+  /// differential, so they depend on the indexed history only, not on
+  /// when the last fold ran.
   void EncodeTo(std::string* dst) const;
   static StatusOr<std::unique_ptr<TemporalFullTextIndex>> Decode(
       std::string_view data, const VersionedDocumentStore* store);

@@ -15,6 +15,13 @@
 #include "src/xml/serializer.h"
 
 namespace txml {
+namespace {
+
+/// The most logged puts ApplyLogged prepares before publishing them: it
+/// bounds the prepared versions held at once during a long replay.
+constexpr size_t kMaxReplayWindow = 64;
+
+}  // namespace
 
 Status ValidateServiceOptions(const ServiceOptions& options) {
   if (options.worker_threads == 0) {
@@ -378,21 +385,28 @@ StatusOr<TemporalQueryService::RunResult> TemporalQueryService::CommitRun(
 
   // Prepare while the log writer syncs the run. An item whose URL an
   // earlier item of the run already wrote builds on that item's result,
-  // so it keeps its tree and is prepared inside the turn instead.
+  // so it keeps its tree and is prepared inside the turn instead. The
+  // first writes touch distinct documents, each pinned by a stripe held
+  // here, so they prepare side by side on the pool (DESIGN.md §12); a run
+  // of one prepares inline.
   std::vector<StatusOr<TemporalXmlDatabase::PreparedPut>> prepared;
   prepared.reserve(m);
+  std::vector<size_t> first_puts;
   std::unordered_set<std::string_view> seen;
   for (size_t j = 0; j < m; ++j) {
-    const size_t i = run[j];
-    const WriteBatchItem& item = items[i];
+    const WriteBatchItem& item = items[run[j]];
     const bool first_write = seen.insert(item.url).second;
     if (item.kind == WriteBatchItem::Kind::kPut && first_write) {
-      prepared.push_back(
-          PrepareUnderStripe(item.url, std::move(trees[i]), slots[j].ts));
-    } else {
-      prepared.push_back(Status::Internal("put not prepared"));
+      first_puts.push_back(j);
     }
+    prepared.push_back(Status::Internal("put not prepared"));
   }
+  pool_.ForEach(first_puts.size(), [&](size_t k) {
+    const size_t j = first_puts[k];
+    const size_t i = run[j];
+    prepared[j] =
+        PrepareUnderStripe(items[i].url, std::move(trees[i]), slots[j].ts);
+  });
 
   // One durability wait covers the run: every logged record shares a
   // single drain, so the waits resolve together (one fsync in kAlways).
@@ -643,29 +657,6 @@ StatusOr<VacuumStats> TemporalQueryService::Vacuum(
   return stats;
 }
 
-std::future<StatusOr<QueryResponse>> TemporalQueryService::Submit(
-    QueryRequest request) {
-  return Enqueue(
-      [this, request = std::move(request)] { return Execute(request); });
-}
-
-std::future<StatusOr<QueryResponse>> TemporalQueryService::Submit(
-    PutRequest request) {
-  return Enqueue(
-      [this, request = std::move(request)] { return Execute(request); });
-}
-
-std::future<StatusOr<QueryResponse>> TemporalQueryService::Submit(
-    WriteBatchRequest request) {
-  return Enqueue(
-      [this, request = std::move(request)] { return Execute(request); });
-}
-
-std::future<StatusOr<QueryResponse>> TemporalQueryService::Submit(
-    VacuumRequest request) {
-  return Enqueue([this, request] { return Execute(request); });
-}
-
 StatusOr<TemporalQueryService::PutResult> TemporalQueryService::Put(
     const std::string& url, std::string_view xml_text) {
   return CommitOne({.url = url, .xml_text = std::string(xml_text)});
@@ -772,47 +763,10 @@ Status TemporalQueryService::ApplyReplicated(
 uint64_t TemporalQueryService::ApplyLogged(
     std::span<const WalRecord> records) {
   uint64_t applied = 0;
-  for (const WalRecord& record : records) {
-    Status status = Status::OK();
-    if (record.type == WalRecordType::kPut) {
-      // Prepare beside readers (nothing else writes); only the publish
-      // takes the exclusive side.
-      std::optional<TemporalXmlDatabase::PreparedPut> put;
-      {
-        ReaderLock lock(commit_mu_);
-        const VersionedDocument* doc = db_->store().FindByUrl(record.url);
-        const bool reflected =
-            doc != nullptr &&
-            (doc->delta_index().last_timestamp() >= record.ts ||
-             (doc->deleted() && doc->delete_time() >= record.ts));
-        if (!reflected) {
-          StatusOr<XmlDocument> parsed = ParseXml(record.payload);
-          status = parsed.status();
-          if (status.ok()) {
-            put = db_->ResolvePut(record.url);
-            status = db_->PreparePut(&*put, parsed->ReleaseRoot(), record.ts);
-          }
-        }
-      }
-      if (status.ok() && put.has_value()) {
-        WriterLock lock(commit_mu_);
-        db_->PublishPut(std::move(*put));
-      }
-    } else {
-      WriterLock lock(commit_mu_);
-      if (record.type == WalRecordType::kDelete) {
-        const VersionedDocument* doc = db_->store().FindByUrl(record.url);
-        if (doc == nullptr || !doc->deleted()) {
-          status = db_->DeleteDocumentAt(record.url, record.ts);
-        }
-      } else {
-        // Not guarded: a vacuum re-applied to an already-vacuumed
-        // checkpoint may coarsen further, but never changes an answer at
-        // or after the policy's horizons — and the forced checkpoint after
-        // every vacuum keeps this window one record (or batch) wide.
-        status = db_->Vacuum(record.policy).status();
-      }
-    }
+  // Counts one record's outcome and publishes its sequence. Each record is
+  // durable already: a follower's read-your-writes waiter sees it as soon
+  // as it is applied, not at the batch's end.
+  auto finish = [&](const WalRecord& record, const Status& status) {
     if (status.ok()) {
       ++applied;
     } else {
@@ -820,9 +774,80 @@ uint64_t TemporalQueryService::ApplyLogged(
                     static_cast<unsigned long long>(record.sequence),
                     status.ToString().c_str());
     }
-    // Each record is durable already: a follower's read-your-writes
-    // waiter sees it as soon as it is applied, not at the batch's end.
     PublishSequence(record.sequence);
+  };
+  while (!records.empty()) {
+    // A window is the longest run of puts to distinct URLs; a delete, a
+    // vacuum or a repeated URL closes it. Its records touch distinct
+    // documents, so none reads what another writes: they prepare side by
+    // side on the pool, then publish in sequence order, exactly as one
+    // record at a time would (DESIGN.md §9).
+    std::unordered_set<std::string_view> urls;
+    size_t width = 0;
+    while (width < records.size() && width < kMaxReplayWindow &&
+           records[width].type == WalRecordType::kPut &&
+           urls.insert(records[width].url).second) {
+      ++width;
+    }
+    if (width == 0) {
+      const WalRecord& record = records.front();
+      Status status = Status::OK();
+      {
+        WriterLock lock(commit_mu_);
+        if (record.type == WalRecordType::kDelete) {
+          const VersionedDocument* doc = db_->store().FindByUrl(record.url);
+          if (doc == nullptr || !doc->deleted()) {
+            status = db_->DeleteDocumentAt(record.url, record.ts);
+          }
+        } else {
+          // Not guarded: a vacuum re-applied to an already-vacuumed
+          // checkpoint may coarsen further, but never changes an answer at
+          // or after the policy's horizons — and the forced checkpoint
+          // after every vacuum keeps this window one record (or batch)
+          // wide.
+          status = db_->Vacuum(record.policy).status();
+        }
+      }
+      finish(record, status);
+      records = records.subspan(1);
+      continue;
+    }
+    const std::span<const WalRecord> window = records.first(width);
+    // Prepare beside readers (nothing else writes); only the publish takes
+    // the exclusive side. A put the database already reflects prepares
+    // nothing and counts as applied.
+    struct LoggedPut {
+      Status status = Status::OK();
+      std::optional<TemporalXmlDatabase::PreparedPut> put;
+    };
+    std::vector<LoggedPut> prepared(width);
+    pool_.ForEach(width, [&](size_t k) {
+      const WalRecord& record = window[k];
+      ReaderLock lock(commit_mu_);
+      const VersionedDocument* doc = db_->store().FindByUrl(record.url);
+      const bool reflected =
+          doc != nullptr &&
+          (doc->delta_index().last_timestamp() >= record.ts ||
+           (doc->deleted() && doc->delete_time() >= record.ts));
+      if (reflected) return;
+      StatusOr<XmlDocument> parsed = ParseXml(record.payload);
+      if (!parsed.ok()) {
+        prepared[k].status = parsed.status();
+        return;
+      }
+      TemporalXmlDatabase::PreparedPut put = db_->ResolvePut(record.url);
+      prepared[k].status =
+          db_->PreparePut(&put, parsed->ReleaseRoot(), record.ts);
+      if (prepared[k].status.ok()) prepared[k].put = std::move(put);
+    });
+    for (size_t k = 0; k < width; ++k) {
+      if (prepared[k].put.has_value()) {
+        WriterLock lock(commit_mu_);
+        db_->PublishPut(std::move(*prepared[k].put));
+      }
+      finish(window[k], prepared[k].status);
+    }
+    records = records.subspan(width);
   }
   ContinueAfter(wal_->last_sequence());
   return applied;

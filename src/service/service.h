@@ -2,7 +2,6 @@
 #define TXML_SRC_SERVICE_SERVICE_H_
 
 #include <atomic>
-#include <future>
 #include <memory>
 #include <optional>
 #include <span>
@@ -49,8 +48,10 @@ struct DurabilityOptions {
 
 /// Configuration of a TemporalQueryService.
 struct ServiceOptions {
-  /// Worker threads executing submitted (asynchronous) requests. Must be
-  /// > 0 (a pool that executes nothing would deadlock every future).
+  /// Width of the service's prepare pool (DESIGN.md §12): a write batch's
+  /// distinct documents and a replay window's records prepare on the
+  /// calling thread plus up to this many workers. Must be > 0. Requests
+  /// themselves always run on the caller's thread.
   size_t worker_threads = 4;
   /// Shared snapshot cache budget in entries; 0 disables the cache.
   size_t snapshot_cache_capacity = 1024;
@@ -82,7 +83,7 @@ struct ServiceOptions {
 };
 
 /// Checks an options struct for values that would be undefined behavior
-/// downstream (zero worker threads deadlocks futures, zero cache or
+/// downstream (zero worker threads leaves an empty pool, zero cache or
 /// commit shards is a division by zero in the shard spread). Returns
 /// InvalidArgument naming the offending field; OK otherwise.
 Status ValidateServiceOptions(const ServiceOptions& options);
@@ -115,9 +116,10 @@ Status ValidateServiceOptions(const ServiceOptions& options);
 ///    (DocId, resolved version), shared by all readers, invalidated
 ///    through the store's observer hooks.
 ///
-/// Synchronous calls run on the caller's thread (the caller provides the
-/// parallelism, e.g. one thread per connection); Submit variants run on
-/// the bounded worker pool and return futures.
+/// Every call runs on the caller's thread (the caller provides the
+/// request parallelism, e.g. one thread per connection). The worker pool
+/// only widens one call: the prepares of a commit run's distinct documents
+/// and of a replay window's records fan out onto it.
 class TemporalQueryService {
  public:
   /// Validating factories: the only constructors that *reject* bad options
@@ -174,12 +176,6 @@ class TemporalQueryService {
   /// <vacuum-result …/> summary payload. See Vacuum() for the typed form.
   StatusOr<QueryResponse> Execute(const VacuumRequest& request)
       EXCLUDES(commit_mu_);
-
-  /// Async variants of Execute on the bounded worker pool.
-  std::future<StatusOr<QueryResponse>> Submit(QueryRequest request);
-  std::future<StatusOr<QueryResponse>> Submit(PutRequest request);
-  std::future<StatusOr<QueryResponse>> Submit(WriteBatchRequest request);
-  std::future<StatusOr<QueryResponse>> Submit(VacuumRequest request);
 
   /// Typed writes (commit shard of the URL), each a commit run of one
   /// item. Put/PutAt are the typed equivalents of Execute(PutRequest).
@@ -353,8 +349,11 @@ class TemporalQueryService {
   /// checkpoint's files and its stamp) and, with a warning, records that
   /// fail to apply (they failed identically when first logged). A put is
   /// prepared under the shared commit lock and published under the
-  /// exclusive one. Publishes each record's sequence once it is applied,
-  /// and ends with ContinueAfter(the log's last sequence).
+  /// exclusive one. Consecutive puts to distinct URLs form a window whose
+  /// prepares run side by side on the pool before the window publishes in
+  /// sequence order; a delete, a vacuum or a repeated URL closes a window
+  /// and applies alone. Publishes each record's sequence once it is
+  /// applied, and ends with ContinueAfter(the log's last sequence).
   /// Callers hold every commit shard or run before the service is
   /// visible. Returns how many records applied; the rest were skipped.
   uint64_t ApplyLogged(std::span<const WalRecord> records)
@@ -410,8 +409,9 @@ class TemporalQueryService {
       EXCLUDES(turn_mu_);
 
   /// Resolves (shared commit lock) and prepares (no commit lock) a put of
-  /// `tree` at `ts`. The caller holds the document's commit stripe, which
-  /// keeps the document still until its publish (DESIGN.md §12). Analysis
+  /// `tree` at `ts`. The committing thread holds the document's commit
+  /// stripe, which keeps the document still until its publish (DESIGN.md
+  /// §12), also while a pool worker runs this on its behalf. Analysis
   /// opt-out: the prepare reads the guarded database without commit_mu_,
   /// which only that stripe argument makes safe.
   StatusOr<TemporalXmlDatabase::PreparedPut> PrepareUnderStripe(
@@ -422,6 +422,8 @@ class TemporalQueryService {
   /// commits the parsed items as one run holding the union of their
   /// commit shards — consecutive tickets, one group-commit submission,
   /// one turn in which each item publishes in its own exclusive section.
+  /// The first write of each URL prepares on the pool while the log
+  /// syncs; a repeated URL prepares inside the turn.
   /// An unparseable put takes no ticket and no WAL record; a delete of a
   /// document that will not exist at its turn takes a ticket but no
   /// record. Items succeed or fail independently; a WAL failure fails the
@@ -454,18 +456,9 @@ class TemporalQueryService {
   /// main index under full quiescence (all shards + exclusive commit
   /// lock — same discipline as MaybeCheckpoint, same stampede guard).
   /// The fold is not WAL-logged: it changes the index's internal layout,
-  /// not its contents, and checkpoints always persist the merged view.
+  /// not its contents, and the index encodes the same bytes before and
+  /// after it (TemporalFullTextIndex::EncodeTo).
   void MaybeCompactFti() EXCLUDES(commit_mu_);
-
-  /// Wraps `fn` in a packaged task on the pool; returns its future.
-  template <typename Fn>
-  auto Enqueue(Fn fn) -> std::future<decltype(fn())> {
-    auto task =
-        std::make_shared<std::packaged_task<decltype(fn())()>>(std::move(fn));
-    auto future = task->get_future();
-    pool_.Submit([task] { (*task)(); });
-    return future;
-  }
 
   /// The apply/read lock: database application exclusive (one ticket at a
   /// time, in ticket order via the turnstile), readers shared. Declared
@@ -559,8 +552,9 @@ class TemporalQueryService {
   uint64_t recovered_records_ = 0;
   bool recovery_tail_dropped_ = false;
 
-  /// Last: joins workers before db_/cache_/wal_ die. Declared after
-  /// everything the tasks touch.
+  /// The prepare fan-out (ThreadPool::ForEach). Last: joins workers before
+  /// db_/cache_/wal_ die. A ForEach returns only once its work ran, so
+  /// what a worker finds queued at shutdown touches none of them.
   ThreadPool pool_;
 };
 

@@ -12,13 +12,15 @@
 namespace txml {
 
 /// A bounded worker pool: fixed thread count, FIFO task queue. Tasks are
-/// type-erased thunks; result plumbing (futures) lives with the caller
-/// (TemporalQueryService wraps packaged_tasks). The destructor drains the
-/// queue — every submitted task runs — then joins.
+/// type-erased thunks. The destructor drains the queue — every submitted
+/// task runs — then joins.
+///
+/// The queue lock is held only around a push or a pop, never while a task
+/// runs, so a thread holding commit stripes may submit (DESIGN.md §16).
 class ThreadPool {
  public:
   /// `threads` = 0 falls back to 1 (a pool that executes nothing would
-  /// deadlock every future).
+  /// never run a submitted task).
   explicit ThreadPool(size_t threads);
   ~ThreadPool();
 
@@ -37,6 +39,23 @@ class ThreadPool {
   [[nodiscard]] bool TrySubmit(std::function<void()> task,
                                size_t max_pending) EXCLUDES(mu_);
 
+  /// Runs fn(0) … fn(n - 1), each exactly once, and returns when all have
+  /// returned; their effects are visible to the caller then. The calling
+  /// thread claims indices alongside up to thread_count() queued helpers,
+  /// so the call finishes even when every worker is busy or when it runs
+  /// on a worker itself. A helper that starts after the last index was
+  /// claimed returns at once and touches nothing of the caller's. n <= 1
+  /// runs inline on the calling thread and never touches the queue. `fn`
+  /// must be safe to call concurrently for different indices.
+  template <typename Fn>
+  void ForEach(size_t n, Fn&& fn) EXCLUDES(mu_) {
+    if (n > 1) {
+      FanOut(n, fn);
+    } else if (n == 1) {
+      fn(size_t{0});
+    }
+  }
+
   size_t thread_count() const { return workers_.size(); }
 
   /// Tasks currently queued (excluding running ones); monitoring only.
@@ -44,6 +63,8 @@ class ThreadPool {
 
  private:
   void WorkerLoop() EXCLUDES(mu_);
+  /// ForEach for n > 1: queues the helpers and claims work alongside.
+  void FanOut(size_t n, const std::function<void(size_t)>& fn) EXCLUDES(mu_);
 
   mutable Mutex mu_{LockRank::kThreadPool};
   CondVar cv_;

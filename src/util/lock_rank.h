@@ -51,17 +51,19 @@ enum class LockRank : int {
   // on connection-handler threads, before any service lock.
   kRateLimiter = 1000,
 
-  // service/thread_pool.h ThreadPool::mu_ — task queue. Workers hold it
-  // only around queue pops, but tasks submitted by the pool acquire
-  // commit stripes, so the pool ranks above them.
-  kThreadPool = 900,
-
   // service/service.h CommitShard::mu — per-document commit-lock
   // stripes. The only rank allowing same-rank nesting: LockAllShards
   // (fold, vacuum, checkpoint, install, ApplyReplicated) takes every
   // stripe in ascending index order, enforced via the per-lock sequence
   // number.
   kCommitStripe = 800,
+
+  // service/thread_pool.h ThreadPool::mu_ — task queue. Held only around
+  // a push or a pop, never while a task runs. ThreadPool::ForEach pushes
+  // its helpers while the caller holds commit stripes (CommitRun,
+  // ApplyReplicated), so the queue ranks below them; nothing is taken
+  // under it.
+  kThreadPool = 750,
 
   // service/service.h commit_mu_ — single-writer/multi-reader apply
   // lock. ApplyLogged prepares logged puts under the shared side and

@@ -17,6 +17,7 @@
 #include "src/service/service.h"
 #include "src/storage/vacuum.h"
 #include "src/storage/wal.h"
+#include "src/util/env.h"
 
 namespace txml {
 namespace {
@@ -294,6 +295,51 @@ TEST(CompactionDurabilityTest, RecoveryIndependentOfFoldSchedule) {
     EXPECT_EQ(payload, before[i]) << OracleQueries()[i];
   }
   std::filesystem::remove_all(dir);
+}
+
+// The index's checkpoint bytes are canonical: the same history saves the
+// same indexes.txml whether the differential was never folded or folded
+// every 64 postings, so a leader's and a follower's checkpoints match.
+TEST(CompactionDurabilityTest, CheckpointBytesIndependentOfFoldSchedule) {
+  std::vector<std::string> saved;
+  for (size_t threshold : {size_t{0}, size_t{64}}) {
+    ServiceOptions options;
+    options.worker_threads = 2;
+    options.fti_compact_min_postings = threshold;
+    TemporalQueryService service(options);
+    for (int v = 1; v <= 6; ++v) {
+      for (int d = 0; d < 12; ++d) {
+        // Per-document vocabulary, so terms enter the index in an order
+        // that differs between the folded and the unfolded index.
+        std::string tag = "doc";
+        tag += std::to_string(d);
+        std::string xml = "<guide><";
+        xml += tag;
+        xml += ">w";
+        xml += std::to_string(d * 7 + v);
+        xml += "</";
+        xml += tag;
+        xml += ">";
+        xml += GuideXml(v).substr(7);
+        ASSERT_TRUE(service.PutAt(tag, xml, Day(v).AddMicros(d)).ok());
+      }
+    }
+    ASSERT_TRUE(service.PutAt("gone", "<d><x>w y</x></d>", Day(7)).ok());
+    ASSERT_TRUE(service.Delete("gone").ok());
+    if (threshold == 0) {
+      EXPECT_EQ(service.Stats().fti.compactions, 0u);
+    } else {
+      EXPECT_GT(service.Stats().fti.compactions, 1u);
+      EXPECT_GT(service.Stats().fti.differential_postings, 0u);
+    }
+    std::string dir = TempDir("canonical");
+    ASSERT_TRUE(service.database().Save(dir).ok());
+    auto bytes = ReadFileToString(dir + "/indexes.txml");
+    ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+    saved.push_back(std::move(*bytes));
+    std::filesystem::remove_all(dir);
+  }
+  EXPECT_EQ(saved[0], saved[1]);
 }
 
 // A follower applying the leader's WAL while folding on its own (much

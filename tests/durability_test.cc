@@ -839,6 +839,116 @@ TEST(ServiceRecoveryTest, LoggedUnparseablePutStillReplaysAsNoOp) {
   std::filesystem::remove_all(batch_dir);
 }
 
+/// The checkpoint `service` writes into `dir`: store.txml then
+/// indexes.txml.
+std::vector<std::string> CheckpointFiles(TemporalQueryService* service,
+                                         const std::string& dir) {
+  Status checkpointed = service->Checkpoint();
+  EXPECT_TRUE(checkpointed.ok()) << checkpointed.ToString();
+  std::vector<std::string> files;
+  for (const char* name : {"store.txml", "indexes.txml"}) {
+    auto contents = ReadFileToString(dir + "/" + name);
+    EXPECT_TRUE(contents.ok()) << contents.status().ToString();
+    files.push_back(contents.ok() ? *contents : "");
+  }
+  return files;
+}
+
+// Replay prepares each window of puts to distinct URLs side by side and
+// publishes it in sequence order; a repeated URL, a delete or a vacuum
+// closes the window. A log of three interleaved writers holding all three
+// must recover, and apply as one follower batch, to exactly the bytes
+// record-by-record application gives.
+TEST(ServiceRecoveryTest, InterleavedLogReplaysInWindowsByteEqual) {
+  std::string dir = TempDir("svc_windows");
+  ASSERT_TRUE(CreateDirIfMissing(dir).ok());
+  std::vector<WalRecord> records;
+  {
+    auto wal = WriteAheadLog::Open(dir + "/" + kWalFileName, WalOptions{});
+    ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+    auto append = [&](WalRecord record) {
+      auto sequence = (*wal)->Append(record);
+      ASSERT_TRUE(sequence.ok()) << sequence.status().ToString();
+      record.sequence = *sequence;
+      records.push_back(std::move(record));
+    };
+    auto put = [&](const std::string& url, Timestamp ts, int v) {
+      WalRecord record;
+      record.url = url;
+      record.ts = ts;
+      record.payload = GuideXml(v);
+      append(std::move(record));
+    };
+    put("victim", Day(1), 2);
+    for (int round = 1; round <= 8; ++round) {
+      for (int writer = 0; writer < 3; ++writer) {
+        // Each writer alternates between two documents, so some windows
+        // end at a repeated URL.
+        std::string url = "w";
+        url += std::to_string(writer);
+        url += "-";
+        url += std::to_string(round % 2 == 0 ? 0 : writer);
+        put(url, Day(round + 1).AddMicros(writer), round % 5 + writer + 1);
+      }
+      if (round == 3) {
+        WalRecord deleted;
+        deleted.type = WalRecordType::kDelete;
+        deleted.url = "victim";
+        deleted.ts = Day(4).AddMicros(10);
+        append(std::move(deleted));
+      }
+      if (round == 5) {
+        WalRecord vacuum;
+        vacuum.type = WalRecordType::kVacuum;
+        vacuum.policy = RetentionPolicy::CoarsenOlderThan(Day(5), 2);
+        append(std::move(vacuum));
+      }
+    }
+  }
+  std::string serial_dir = TempDir("svc_windows_serial");
+  auto serial = TemporalQueryService::Create(DurableOptions(serial_dir));
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  for (const WalRecord& record : records) {
+    ASSERT_TRUE((*serial)->ApplyReplicated({&record, 1}).ok());
+  }
+  const std::vector<std::string> expected =
+      CheckpointFiles(serial->get(), serial_dir);
+
+  auto recovered = TemporalQueryService::Create(DurableOptions(dir));
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ((*recovered)->Stats().durability.recovered_records,
+            records.size());
+  EXPECT_EQ((*recovered)->applied_sequence(), records.back().sequence);
+  EXPECT_EQ(CheckpointFiles(recovered->get(), dir), expected);
+
+  std::string batch_dir = TempDir("svc_windows_batch");
+  auto batch = TemporalQueryService::Create(DurableOptions(batch_dir));
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  ASSERT_TRUE((*batch)->ApplyReplicated(records).ok());
+  ServiceStats stats = (*batch)->Stats();
+  EXPECT_EQ(stats.replication.replicated_records_applied, records.size());
+  EXPECT_EQ(stats.replication.replicated_records_skipped, 0u);
+  EXPECT_EQ((*batch)->applied_sequence(), records.back().sequence);
+  EXPECT_EQ(CheckpointFiles(batch->get(), batch_dir), expected);
+
+  for (const char* url : {"w0-0", "w1-1", "w2-2", "victim"}) {
+    std::string query = "SELECT TIME(R), R/price FROM doc(\"";
+    query += url;
+    query += "\")[EVERY]/guide/item R";
+    auto answer = [&](TemporalQueryService* service) {
+      auto out = RunQuery(service, query);
+      return out.ok() ? *out : "<error: " + out.status().ToString() + ">";
+    };
+    const std::string want = answer(serial->get());
+    EXPECT_EQ(want.find("<error"), std::string::npos) << want;
+    EXPECT_EQ(answer(recovered->get()), want);
+    EXPECT_EQ(answer(batch->get()), want);
+  }
+  std::filesystem::remove_all(dir);
+  std::filesystem::remove_all(serial_dir);
+  std::filesystem::remove_all(batch_dir);
+}
+
 // A resent batch (the leader's cursor lagged our acks across a reconnect)
 // starts with records the follower already persisted: only the rest is
 // logged and applied. A batch holding a vacuum ends with one forced

@@ -63,13 +63,22 @@ TEST(LockRankDeathTest, TryLockSuccessIsCheckedToo) {
   EXPECT_DEATH((void)high.TryLock(), "lock-rank inversion");
 }
 
+// The pool's queue lock is taken under commit stripes (ForEach), so a
+// stripe taken under it would invert the order.
+TEST(LockRankDeathTest, StripeUnderThreadPoolQueueAborts) {
+  Mutex pool(LockRank::kThreadPool);
+  Mutex stripe(LockRank::kCommitStripe, 0);
+  MutexLock hold_pool(pool);
+  EXPECT_DEATH(stripe.Lock(), "lock-rank inversion");
+}
+
 TEST(LockRankTest, DocumentedOrderAcquiresCleanly) {
   // The full documented chain, outermost to innermost — the deepest stack
   // the commit path can hold (DESIGN.md §16 rank table, top to bottom).
   Mutex server(LockRank::kServer);
-  Mutex pool(LockRank::kThreadPool);
   Mutex stripe0(LockRank::kCommitStripe, 0);
   Mutex stripe1(LockRank::kCommitStripe, 1);
+  Mutex pool(LockRank::kThreadPool);
   SharedMutex commit(LockRank::kCommitApply);
   Mutex turn(LockRank::kTurnstile);
   Mutex ticket(LockRank::kTicket);
@@ -78,9 +87,9 @@ TEST(LockRankTest, DocumentedOrderAcquiresCleanly) {
   Mutex failpoint(LockRank::kFailPoint);
 
   server.Lock();
-  pool.Lock();
   stripe0.Lock();
   stripe1.Lock();  // same rank, ascending seq: the LockAllShards order
+  pool.Lock();  // ThreadPool::ForEach queues its helpers under stripes
   commit.Lock();
   turn.Lock();
   ticket.Lock();
@@ -95,10 +104,10 @@ TEST(LockRankTest, DocumentedOrderAcquiresCleanly) {
   ticket.Unlock();
   turn.Unlock();
   commit.Unlock();
+  pool.Unlock();
   // FIFO stripe release, as UnlockAllShards does.
   stripe0.Unlock();
   stripe1.Unlock();
-  pool.Unlock();
   server.Unlock();
   EXPECT_EQ(LockRankChecker::HeldDepthForTest(), 0);
 }

@@ -6,7 +6,6 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
-#include <future>
 #include <iterator>
 #include <map>
 #include <memory>
@@ -20,6 +19,7 @@
 #include "src/service/service.h"
 #include "src/service/snapshot_cache.h"
 #include "src/service/thread_pool.h"
+#include "src/util/env.h"
 #include "src/xml/parser.h"
 #include "src/xml/serializer.h"
 
@@ -180,7 +180,7 @@ TEST(ServiceTest, UnifiedExecuteMatchesDatabaseReads) {
   EXPECT_TRUE(failed.status().IsParseError()) << failed.status().ToString();
 }
 
-TEST(ServiceTest, UnifiedExecuteHandlesWritesAndAsyncSubmission) {
+TEST(ServiceTest, UnifiedExecuteHandlesWritesAndQueriesFromAnotherThread) {
   TemporalQueryService service;
 
   PutRequest put;
@@ -194,8 +194,9 @@ TEST(ServiceTest, UnifiedExecuteHandlesWritesAndAsyncSubmission) {
 
   QueryRequest query;
   query.query_text = kStableQueries[0];
-  auto future = service.Submit(query);
-  auto response = future.get();
+  StatusOr<QueryResponse> response = Status::Internal("not run");
+  Thread reader([&] { response = service.Execute(query); });
+  reader.Join();
   ASSERT_TRUE(response.ok()) << response.status().ToString();
   EXPECT_NE(response->payload.find("10"), std::string::npos);
 }
@@ -359,27 +360,31 @@ TEST(ServiceTest, DeleteInvalidatesCachedDocument) {
   EXPECT_NE(old->find("12"), std::string::npos);
 }
 
-TEST(ServiceTest, AsyncSubmissionRunsOnWorkerPool) {
+TEST(ServiceTest, ConcurrentCallersOnTheirOwnThreads) {
   ServiceOptions options;
   options.worker_threads = 2;
   TemporalQueryService service(options);
   PutHotHistory(&service);
 
-  std::vector<std::future<StatusOr<QueryResponse>>> futures;
+  std::vector<StatusOr<QueryResponse>> results(8, Status::Internal("not run"));
+  std::vector<Thread> readers;
   for (int i = 0; i < 8; ++i) {
-    QueryRequest request;
-    request.query_text = kStableQueries[0];
-    futures.push_back(service.Submit(std::move(request)));
+    readers.emplace_back([&service, &results, i] {
+      QueryRequest request;
+      request.query_text = kStableQueries[0];
+      results[i] = service.Execute(request);
+    });
   }
   PutRequest put;
   put.url = "async";
   put.xml_text = "<d><x>1</x></d>";
-  auto put_future = service.Submit(std::move(put));
-  for (auto& future : futures) {
-    auto result = future.get();
+  StatusOr<QueryResponse> put_result = Status::Internal("not run");
+  Thread writer([&] { put_result = service.Execute(put); });
+  for (Thread& reader : readers) reader.Join();
+  writer.Join();
+  for (auto& result : results) {
     ASSERT_TRUE(result.ok()) << result.status().ToString();
   }
-  auto put_result = put_future.get();
   ASSERT_TRUE(put_result.ok());
   EXPECT_EQ(service.Stats().queries_executed, 8u);
 }
@@ -394,6 +399,52 @@ TEST(ThreadPoolTest, DrainsEverySubmittedTaskOnShutdown) {
     }
   }  // destructor drains + joins
   EXPECT_EQ(ran.load(), 100);
+}
+
+TEST(ThreadPoolTest, ForEachRunsEveryIndexOnce) {
+  ThreadPool pool(3);
+  std::vector<std::atomic<int>> runs(100);
+  std::vector<size_t> squares(100, 0);
+  pool.ForEach(runs.size(), [&](size_t i) {
+    runs[i].fetch_add(1);
+    squares[i] = i * i;  // plain writes: visible once ForEach returns
+  });
+  for (size_t i = 0; i < runs.size(); ++i) {
+    EXPECT_EQ(runs[i].load(), 1) << i;
+    EXPECT_EQ(squares[i], i * i) << i;
+  }
+}
+
+TEST(ThreadPoolTest, ForEachOfOneRunsInline) {
+  ThreadPool pool(2);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::thread::id ran_on;
+  int calls = 0;
+  pool.ForEach(0, [&](size_t) { ++calls; });
+  pool.ForEach(1, [&](size_t i) {
+    ++calls;
+    ran_on = std::this_thread::get_id();
+    EXPECT_EQ(i, 0u);
+  });
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(ran_on, caller);
+  EXPECT_EQ(pool.queue_depth(), 0u);
+}
+
+// The only worker runs the task that calls ForEach, so no helper can
+// start: the caller claims every index itself and returns.
+TEST(ThreadPoolTest, ForEachInsideATaskOnAOneThreadPoolCompletes) {
+  std::atomic<bool> finished{false};
+  std::atomic<size_t> sum{0};
+  {
+    ThreadPool pool(1);
+    pool.Submit([&] {
+      pool.ForEach(8, [&](size_t i) { sum.fetch_add(i); });
+      finished.store(true);
+    });
+  }  // destructor drains (the stale helpers find nothing left) + joins
+  EXPECT_TRUE(finished.load());
+  EXPECT_EQ(sum.load(), 28u);
 }
 
 TEST(StoreObserverContractDeathTest, LateRegistrationWithoutOptInAborts) {
@@ -524,12 +575,13 @@ TEST(ServiceTest, VacuumRequestRewritesHistoryUnderCommitLock) {
   EXPECT_EQ(stats.vacuums_run, 1u);
   EXPECT_EQ(stats.writes_failed, 1u);
 
-  // The vacuum is also submittable to the worker pool, like any write.
+  // A vacuum runs from any caller's thread, like any write.
   VacuumRequest coarsen;
   coarsen.coarsen_older_than = Day(5);
   coarsen.keep_every = 2;
-  auto future = service.Submit(coarsen);
-  auto async = future.get();
+  StatusOr<QueryResponse> async = Status::Internal("not run");
+  Thread vacuumer([&] { async = service.Execute(coarsen); });
+  vacuumer.Join();
   ASSERT_TRUE(async.ok()) << async.status().ToString();
   EXPECT_EQ(service.Stats().vacuums_run, 2u);
 }
@@ -970,6 +1022,190 @@ TEST(ServiceTest, WriteBatchWithRepeatedUrlsMatchesSequentialPuts) {
     for (const std::string& answer : got) {
       EXPECT_EQ(answer.find("<error"), std::string::npos) << answer;
     }
+  }
+}
+
+/// The item entries of a <write-batch-result> payload, each serialized.
+std::vector<std::string> BatchItemEntries(const std::string& payload) {
+  std::vector<std::string> entries;
+  auto parsed = ParseXml(payload);
+  EXPECT_TRUE(parsed.ok()) << payload;
+  if (!parsed.ok()) return entries;
+  for (const auto& child : parsed->root()->children()) {
+    if (!child->is_attribute()) entries.push_back(SerializeXml(*child));
+  }
+  return entries;
+}
+
+/// The checkpoint files `service`'s database saves: store.txml then
+/// indexes.txml.
+std::vector<std::string> SavedFiles(const TemporalQueryService& service,
+                                    const std::string& dir) {
+  std::filesystem::remove_all(dir);
+  std::vector<std::string> files;
+  Status saved = service.database().Save(dir);
+  EXPECT_TRUE(saved.ok()) << saved.ToString();
+  for (const char* name : {"store.txml", "indexes.txml"}) {
+    auto contents = ReadFileToString(dir + "/" + name);
+    EXPECT_TRUE(contents.ok()) << contents.status().ToString();
+    files.push_back(contents.ok() ? *contents : "");
+  }
+  std::filesystem::remove_all(dir);
+  return files;
+}
+
+// A batch of 64 distinct documents prepares them side by side on the
+// pool; a repeated URL prepares inside the turn and a delete applies in
+// it. Whatever the pool's width, the batch leaves exactly the state the
+// same items leave when committed one at a time: the same per-item
+// outcomes, the same answers and the same checkpoint bytes.
+TEST(ServiceTest, ParallelBatchPreparesMatchOneAtATimeCommits) {
+  auto setup = [](TemporalQueryService* service) {
+    ASSERT_TRUE(service
+                    ->PutAt("keep", "<guide>" + ItemXml("kept", 1) + "</guide>",
+                            Day(1))
+                    .ok());
+    ASSERT_TRUE(service
+                    ->PutAt("gone", "<guide>" + ItemXml("gone", 2) + "</guide>",
+                            Day(2))
+                    .ok());
+  };
+  std::vector<WriteBatchItem> items;
+  for (int d = 0; d < 63; ++d) {
+    WriteBatchItem item;
+    item.url = "doc";
+    item.url += std::to_string(d);
+    std::string name = "n";
+    name += std::to_string(d);
+    item.xml_text = "<guide>";
+    item.xml_text += ItemXml(name, d);
+    item.xml_text += ItemXml("shared", 100 + d % 7);
+    item.xml_text += "</guide>";
+    items.push_back(item);
+  }
+  WriteBatchItem keep;
+  keep.url = "keep";
+  keep.xml_text =
+      "<guide>" + ItemXml("kept", 3) + ItemXml("shared", 101) + "</guide>";
+  items.insert(items.begin() + 20, keep);
+  WriteBatchItem repeat;
+  repeat.url = "doc5";
+  repeat.xml_text =
+      "<guide>" + ItemXml("n5", 55) + ItemXml("later", 56) + "</guide>";
+  items.push_back(repeat);
+  WriteBatchItem gone;
+  gone.kind = WriteBatchItem::Kind::kDelete;
+  gone.url = "gone";
+  items.insert(items.begin() + 40, gone);
+  for (size_t k = 0; k < items.size(); ++k) {
+    items[k].timestamp = Day(3).AddMicros(static_cast<int64_t>(k));
+  }
+
+  TemporalQueryService sequential;
+  setup(&sequential);
+  std::vector<std::string> expected_entries;
+  for (const WriteBatchItem& item : items) {
+    WriteBatchRequest one;
+    one.items.push_back(item);
+    auto response = sequential.Execute(one);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    for (std::string& entry : BatchItemEntries(response->payload)) {
+      expected_entries.push_back(std::move(entry));
+    }
+  }
+  ASSERT_EQ(expected_entries.size(), items.size());
+  for (const std::string& entry : expected_entries) {
+    EXPECT_NE(entry.find("status=\"ok\""), std::string::npos) << entry;
+  }
+
+  const std::vector<std::string> queries = {
+      "SELECT R FROM doc(\"doc5\")[EVERY]/item R",
+      "SELECT R FROM doc(\"keep\")[EVERY]/item R",
+      "SELECT R FROM doc(\"gone\")[EVERY]/item R",
+      "SELECT R/price FROM collection(\"doc*\")[NOW]/item R "
+      "WHERE R/name = \"shared\"",
+      "SELECT CREATE TIME(R), R/name FROM collection(\"*\")[NOW]/item R",
+  };
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "txml_svc_parallel_batch")
+          .string();
+  const std::vector<std::string> expected_files = SavedFiles(sequential, dir);
+
+  for (size_t workers : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE(testing::Message() << "worker_threads = " << workers);
+    ServiceOptions options;
+    options.worker_threads = workers;
+    TemporalQueryService batched(options);
+    setup(&batched);
+    WriteBatchRequest batch;
+    batch.items = items;
+    auto response = batched.Execute(batch);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_EQ(BatchItemEntries(response->payload), expected_entries);
+    EXPECT_EQ(batched.Stats().writes_committed,
+              sequential.Stats().writes_committed);
+    for (ScanStrategy strategy :
+         {ScanStrategy::kIndex, ScanStrategy::kTraversal}) {
+      const std::vector<std::string> got =
+          PinnedAnswers(batched, queries, strategy);
+      EXPECT_EQ(got, PinnedAnswers(sequential, queries, strategy));
+      for (const std::string& answer : got) {
+        EXPECT_EQ(answer.find("<error"), std::string::npos) << answer;
+      }
+    }
+    const std::vector<std::string> files = SavedFiles(batched, dir);
+    EXPECT_EQ(files[0], expected_files[0]) << "store.txml differs";
+    EXPECT_EQ(files[1], expected_files[1]) << "indexes.txml differs";
+  }
+}
+
+// Eight callers commit overlapping batches through a two-worker pool at
+// once: each run's caller claims prepares itself, so runs that wait for
+// each other's stripes never wait for a worker, and every batch lands.
+TEST(ServiceStressTest, ConcurrentWriteBatchesOnASmallPoolFinish) {
+  ServiceOptions options;
+  options.worker_threads = 2;
+  options.commit_shards = 4;  // callers' stripe sets overlap
+  TemporalQueryService service(options);
+  constexpr int kCallers = 8;
+  constexpr int kRounds = 4;
+  constexpr int kDocs = 16;
+  std::atomic<int> failed{0};
+  std::vector<Thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&service, &failed, c] {
+      for (int round = 1; round <= kRounds; ++round) {
+        WriteBatchRequest batch;
+        for (int d = 0; d < kDocs; ++d) {
+          WriteBatchItem item;
+          item.url = "c";
+          item.url += std::to_string(c);
+          item.url += "-";
+          item.url += std::to_string(d);
+          item.xml_text = "<guide>";
+          item.xml_text += ItemXml("r", round);
+          item.xml_text += "</guide>";
+          batch.items.push_back(item);
+        }
+        auto response = service.Execute(batch);
+        if (!response.ok() ||
+            response->payload.find("failed=\"0\"") == std::string::npos) {
+          failed.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (Thread& caller : callers) caller.Join();
+  EXPECT_EQ(failed.load(), 0);
+  EXPECT_EQ(service.Stats().writes_committed,
+            static_cast<uint64_t>(kCallers * kRounds * kDocs));
+  for (int c = 0; c < kCallers; ++c) {
+    std::string url = "c";
+    url += std::to_string(c);
+    url += "-0";
+    const VersionedDocument* doc = service.database().store().FindByUrl(url);
+    ASSERT_NE(doc, nullptr);
+    EXPECT_EQ(doc->version_count(), static_cast<VersionNum>(kRounds));
   }
 }
 
